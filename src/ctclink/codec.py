@@ -15,6 +15,7 @@ field that survived independently of the others.
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import struct
@@ -36,28 +37,9 @@ class FrameLengthError(ValueError):
 # crc16(b"123456789") == 0x29B1.
 # ---------------------------------------------------------------------------
 
-def _crc16_table(poly: int = 0x1021) -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ poly) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _crc16_table()
-
-
 def crc16(data: bytes, init: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE checksum of ``data``."""
-    crc = init
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
+    return binascii.crc_hqx(data, init)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ only contribute energy.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -223,23 +224,61 @@ class TrafficTrace:
         return len(self.tx)
 
 
-def _mark_frame(trace: TrafficTrace, start: int, n: int, kind: str, lte_envelope: np.ndarray) -> None:
-    end = min(start + n, trace.n_ticks)
-    if start >= trace.n_ticks:
-        return
+def _runs(mask: np.ndarray) -> tuple[list[int], list[int]]:
+    """(starts, ends) of the maximal True runs of a bool mask, as ints."""
+    padded = np.concatenate([[False], mask, [False]])
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2].tolist(), edges[1::2].tolist()
+
+
+def _coverage(starts: np.ndarray, ends: np.ndarray, n_ticks: int) -> np.ndarray:
+    """Ticks covered by at least one of the half-open intervals [start, end).
+
+    The starts of the non-empty intervals must be in ascending order.
+    """
+    keep = starts < ends
+    starts, ends = starts[keep], ends[keep]
+    # merge overlapping and touching intervals: the merged ones lie apart,
+    # so each of their starts and ends toggles the coverage exactly once
+    reach = np.maximum.accumulate(ends)
+    first = np.ones(len(starts), dtype=bool)
+    first[1:] = starts[1:] > reach[:-1]
+    last = np.ones(len(starts), dtype=bool)
+    last[:-1] = first[1:]
+    toggles = np.zeros(n_ticks + 1, dtype=bool)
+    toggles[starts[first]] = True
+    toggles[reach[last]] = True
+    return np.logical_xor.accumulate(toggles[:n_ticks])
+
+
+def _paint_frames(
+    starts: Sequence[int], lengths: np.ndarray | int, kind: str, lte_envelope: np.ndarray
+) -> TrafficTrace:
+    """Trace of WiFi frames launched at ``starts``, each ``lengths`` ticks long.
+
+    Starts are in ascending order.  Frames are clipped at the end of the
+    trace and may overlap.  A "tx" frame is the node's own transmission.  An
+    "rx" frame is locked from its start up to the first LTE tick at or after
+    it, and energy only from there on, so a frame that starts under LTE
+    energy never locks.  The non-empty energy-only parts start in ascending
+    order too: a later frame that starts while an earlier one is still
+    locked has the same next LTE tick, so its energy-only part is empty or
+    starts at that tick.
+    """
+    n_ticks = len(lte_envelope)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.minimum(starts + lengths, n_ticks)
+    silent = np.zeros(n_ticks, dtype=bool)
     if kind == "tx":
-        trace.tx[start:end] = True
-        return
-    if lte_envelope[start]:
-        # preamble already buried under LTE energy: never locks
-        trace.rx_unlocked[start:end] = True
-        return
-    # locked while the channel stays clean; from the first LTE tick on the
-    # NIC loses the frame and only sees energy
-    overlap = lte_envelope[start:end]
-    stomp = int(np.argmax(overlap)) if overlap.any() else end - start
-    trace.rx_locked[start:start + stomp] = True
-    trace.rx_unlocked[start + stomp:end] = True
+        return TrafficTrace(_coverage(starts, ends, n_ticks), silent, silent.copy())
+    lte_starts, lte_ends = _runs(lte_envelope)
+    # first LTE run ending after each start; past the last run, no LTE follows
+    run = np.searchsorted(lte_ends, starts, side="right")
+    next_lte = np.maximum(starts, np.asarray(lte_starts + [n_ticks], dtype=np.int64)[run])
+    stomp = np.minimum(next_lte, ends)
+    return TrafficTrace(
+        silent, _coverage(starts, stomp, n_ticks), _coverage(stomp, ends, n_ticks)
+    )
 
 
 def poisson_traffic(
@@ -252,23 +291,38 @@ def poisson_traffic(
     resolution_us: int = RESOLUTION_US,
 ) -> TrafficTrace:
     """Open-loop arrivals: frames queue behind each other and defer to the
-    sender's busy mask, then run to completion once started."""
+    sender's busy mask, then run to completion once started.
+
+    Frame i starts at s_i = nf(max(a_i, s_{i-1} + F)), where a_i is its
+    arrival tick, F the frame length in ticks and nf(t) the first tick at
+    or after t outside the busy mask.  Frames that would start past the
+    end are dropped.  The draws are one poisson (the frame count) and one
+    integers call (the arrival ticks), in that order.
+    """
     n_ticks = len(lte_envelope)
-    trace = TrafficTrace.silent(n_ticks)
     frame_ticks = max(1, round(frame_us / resolution_us))
     duration_s = n_ticks * resolution_us / 1e6
     n_frames = rng.poisson(rate_fps * duration_s)
     arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
+    busy_starts, busy_ends = _runs(busy_mask)
+    starts = []
     free_at = 0
-    for arr in arrivals:
-        start = max(int(arr), free_at)
-        while start < n_ticks and busy_mask[start]:
-            start += 1
+    for arr in arrivals.tolist():
+        start = arr if arr > free_at else free_at
+        run = bisect_right(busy_starts, start) - 1
+        if run >= 0 and start < busy_ends[run]:
+            start = busy_ends[run]
         if start >= n_ticks:
             break
-        _mark_frame(trace, start, frame_ticks, kind, lte_envelope)
+        starts.append(start)
         free_at = start + frame_ticks
-    return trace
+    return _paint_frames(starts, frame_ticks, kind, lte_envelope)
+
+
+def _doubles(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
+    """The doubles of successive rng.random() calls, drawn a block at a time."""
+    while True:
+        yield from rng.random(block).tolist()
 
 
 def saturated_traffic(
@@ -287,31 +341,55 @@ def saturated_traffic(
     probability straddle_prob the frame that no longer fits an idle run
     is launched anyway and overruns into the LTE ON phase, which models
     imperfect carrier sensing at the run boundary.
+
+    The idle runs are walked in order.  Each launch draws a uniform gap,
+    then a uniform frame length (range frame_us only); a frame that does
+    not fit draws one more uniform for the straddle decision and ends the
+    run.  The draws are those of successive rng.uniform / rng.random
+    calls: uniform(lo, hi) is lo + (hi - lo) * random().  They are taken
+    from blocks, and rng is left exactly as far advanced as the doubles
+    used.
     """
-    n_ticks = len(lte_envelope)
-    trace = TrafficTrace.silent(n_ticks)
+    ranged = isinstance(frame_us, tuple)
+    for lo, hi in (gap_us, frame_us) if ranged else (gap_us,):
+        if not lo <= hi:
+            raise ValueError(f"range ({lo}, {hi}) must have low <= high")
+    gap_lo, gap_span = float(gap_us[0]), float(gap_us[1]) - float(gap_us[0])
+    if ranged:
+        frame_lo, frame_span = float(frame_us[0]), float(frame_us[1]) - float(frame_us[0])
+    else:
+        fixed_ticks = max(1, round(frame_us / resolution_us))
+    saved = rng.bit_generator.state
+    doubles = _doubles(rng)
+    used = 0
 
-    def draw_frame_ticks() -> int:
-        us = rng.uniform(*frame_us) if isinstance(frame_us, tuple) else frame_us
-        return max(1, round(us / resolution_us))
-
-    padded = np.concatenate([[1], busy_mask.astype(np.int8), [1]])
-    edges = np.flatnonzero(np.diff(padded))
-    for run_start, run_end in zip(edges[::2], edges[1::2]):
-        pos = int(run_start)
+    starts, lengths = [], []
+    for run_start, run_end in zip(*_runs(~busy_mask)):
+        pos = run_start
         while pos < run_end:
-            pos += max(1, round(rng.uniform(*gap_us) / resolution_us))
+            pos += max(1, round((gap_lo + gap_span * next(doubles)) / resolution_us))
+            used += 1
             if pos >= run_end:
                 break
-            frame_ticks = draw_frame_ticks()
+            if ranged:
+                frame_ticks = max(1, round((frame_lo + frame_span * next(doubles)) / resolution_us))
+                used += 1
+            else:
+                frame_ticks = fixed_ticks
             if pos + frame_ticks <= run_end:
-                _mark_frame(trace, pos, frame_ticks, kind, lte_envelope)
+                starts.append(pos)
+                lengths.append(frame_ticks)
                 pos += frame_ticks
             else:
-                if rng.random() < straddle_prob:
-                    _mark_frame(trace, pos, frame_ticks, kind, lte_envelope)
+                used += 1
+                if next(doubles) < straddle_prob:
+                    starts.append(pos)
+                    lengths.append(frame_ticks)
                 break
-    return trace
+
+    rng.bit_generator.state = saved
+    rng.random(used)
+    return _paint_frames(starts, np.asarray(lengths, dtype=np.int64), kind, lte_envelope)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .multicell import Codebook
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
+# how long stop() waits for the connection handlers, then for the acceptor
+_STOP_TIMEOUT_S = 2.0
 _PREFIX = struct.Struct("!I")
 
 
@@ -296,7 +298,41 @@ class _Handler(socketserver.BaseRequestHandler):
 
 class _Server(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
-    daemon_threads = True
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._live_lock = threading.Lock()
+        self._live: dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        # registered before the thread starts, so close_connections sees
+        # every connection accepted before serve_forever returned
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._live_lock:
+                self._live.pop(request, None)
+
+    def close_connections(self, timeout_s: float) -> None:
+        """Shut down every live connection and join its handler thread."""
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _ in live:
+            try:
+                request.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the handler closed it first
+        deadline = time.monotonic() + timeout_s
+        for _, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
 
 @dataclass
@@ -325,10 +361,14 @@ class X2Service:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, close live connections and join their handlers."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
+            self._server.close_connections(_STOP_TIMEOUT_S)
+            self._thread.join(_STOP_TIMEOUT_S)
             self._server = None
+            self._thread = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -458,5 +498,6 @@ def fetch_codebook(
                 return client.fetch_codebook()
         except X2ConnectivityError as exc:
             last = exc
-            time.sleep(backoff_s * (attempt + 1))
+            if attempt + 1 < retries:
+                time.sleep(backoff_s * (attempt + 1))
     raise X2ConnectivityError(f"gave up after {retries} attempts: {last}")

@@ -54,7 +54,7 @@ def floor_log2(m: int) -> int:
 
 
 def crc16_bitwise(data: bytes) -> int:
-    """Bit-serial CCITT-FALSE register, independent of the table driven one."""
+    """Bit-serial CCITT-FALSE register, independent of the library's."""
     reg = 0xFFFF
     for byte in data:
         for bit in range(7, -1, -1):
@@ -126,6 +126,10 @@ class TestCrc16:
     @given(st.binary(max_size=64))
     def test_matches_bit_serial_register(self, data):
         assert crc16(data) == crc16_bitwise(data)
+
+    @given(st.binary(max_size=32), st.binary(max_size=32))
+    def test_init_continues_a_running_checksum(self, head, tail):
+        assert crc16(head + tail) == crc16(tail, crc16(head))
 
 
 class TestSchemes:

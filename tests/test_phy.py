@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctclink.codec import default_schemes, encode_symbol, preamble_schedules
+from ctclink.codec import build_frame, default_schemes, encode_symbol, preamble_schedules
 from ctclink.phy import (
     CsatConfig,
     MacStateSeries,
@@ -230,3 +232,176 @@ class TestTraffic:
         traffic.rx_unlocked[420:440] = True  # during the OFF phase, LTE silent
         series = sample_mac_states(wave, link_at(-95.0, ed_threshold_dbm=-62.0), traffic)
         assert series.intf[84] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Reference traffic generators: one slice assignment per WiFi frame and one
+# RNG call per draw.  The library's generators must match them bit for bit,
+# in the traces and in the state they leave the generator in.
+# ---------------------------------------------------------------------------
+
+def ref_mark_frame(trace, start, n, kind, lte_envelope):
+    end = min(start + n, trace.n_ticks)
+    if start >= trace.n_ticks:
+        return
+    if kind == "tx":
+        trace.tx[start:end] = True
+        return
+    if lte_envelope[start]:
+        trace.rx_unlocked[start:end] = True
+        return
+    overlap = lte_envelope[start:end]
+    stomp = int(np.argmax(overlap)) if overlap.any() else end - start
+    trace.rx_locked[start:start + stomp] = True
+    trace.rx_unlocked[start + stomp:end] = True
+
+
+def ref_poisson_traffic(lte_envelope, busy_mask, rate_fps, frame_us, kind, rng,
+                        resolution_us=50):
+    n_ticks = len(lte_envelope)
+    trace = TrafficTrace.silent(n_ticks)
+    frame_ticks = max(1, round(frame_us / resolution_us))
+    duration_s = n_ticks * resolution_us / 1e6
+    n_frames = rng.poisson(rate_fps * duration_s)
+    arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
+    free_at = 0
+    for arr in arrivals:
+        start = max(int(arr), free_at)
+        while start < n_ticks and busy_mask[start]:
+            start += 1
+        if start >= n_ticks:
+            break
+        ref_mark_frame(trace, start, frame_ticks, kind, lte_envelope)
+        free_at = start + frame_ticks
+    return trace
+
+
+def ref_saturated_traffic(lte_envelope, busy_mask, frame_us, kind, rng, straddle_prob=0.0,
+                          gap_us=(50.0, 200.0), resolution_us=50):
+    n_ticks = len(lte_envelope)
+    trace = TrafficTrace.silent(n_ticks)
+
+    def draw_frame_ticks():
+        us = rng.uniform(*frame_us) if isinstance(frame_us, tuple) else frame_us
+        return max(1, round(us / resolution_us))
+
+    padded = np.concatenate([[1], busy_mask.astype(np.int8), [1]])
+    edges = np.flatnonzero(np.diff(padded))
+    for run_start, run_end in zip(edges[::2], edges[1::2]):
+        pos = int(run_start)
+        while pos < run_end:
+            pos += max(1, round(rng.uniform(*gap_us) / resolution_us))
+            if pos >= run_end:
+                break
+            frame_ticks = draw_frame_ticks()
+            if pos + frame_ticks <= run_end:
+                ref_mark_frame(trace, pos, frame_ticks, kind, lte_envelope)
+                pos += frame_ticks
+            else:
+                if rng.random() < straddle_prob:
+                    ref_mark_frame(trace, pos, frame_ticks, kind, lte_envelope)
+                break
+    return trace
+
+
+def _punctured_lte() -> np.ndarray:
+    """LTE transmit mask of two wide20 frames: ON phases with 1-3 ms punctures."""
+    scheme = SCHEMES["wide20"]
+    schedules = []
+    for network_id in (0x0A00002A, 0x12345678):
+        schedules += build_frame(network_id, (1, 2, 3, 4, 5, 6), scheme).schedules()
+    return generate_waveform(CsatConfig(40, 20), schedules).with_lead_in(7).tx
+
+
+PUNCTURED_LTE = _punctured_lte()
+
+
+def busy_masks(lte: np.ndarray) -> dict[str, np.ndarray]:
+    tail = lte.copy()
+    tail[-max(1, len(lte) // 7):] = True
+    return {
+        "lte": lte,
+        "clear": np.zeros(len(lte), dtype=bool),
+        "all": np.ones(len(lte), dtype=bool),
+        "tail": tail,  # busy through the last tick
+        # a sender that defers to a source other than the sampled LTE cell
+        "shifted": np.roll(lte, 400),
+    }
+
+
+def assert_same_traffic(got, want, rng_got, rng_want):
+    assert np.array_equal(got.tx, want.tx)
+    assert np.array_equal(got.rx_locked, want.rx_locked)
+    assert np.array_equal(got.rx_unlocked, want.rx_unlocked)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+n_ticks_st = st.integers(1, len(PUNCTURED_LTE))
+busy_st = st.sampled_from(["lte", "clear", "all", "tail", "shifted"])
+kind_st = st.sampled_from(["rx", "tx"])
+frame_us_st = st.one_of(
+    st.floats(10.0, 6000.0),
+    st.tuples(st.floats(10.0, 6000.0), st.floats(10.0, 6000.0)).map(lambda r: tuple(sorted(r))),
+)
+
+
+class TestTrafficMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(n_ticks=n_ticks_st, busy=busy_st, kind=kind_st,
+           rate_fps=st.sampled_from([0.0, 5.0, 833.0, 6000.0]),
+           frame_us=st.floats(10.0, 3000.0), seed=st.integers(0, 2**32 - 1))
+    def test_poisson(self, n_ticks, busy, kind, rate_fps, frame_us, seed):
+        lte = PUNCTURED_LTE[:n_ticks]
+        mask = busy_masks(lte)[busy]
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_got)
+        want = ref_poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_want)
+        assert_same_traffic(got, want, rng_got, rng_want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_ticks=n_ticks_st, busy=busy_st, kind=kind_st, frame_us=frame_us_st,
+           straddle_prob=st.sampled_from([0.0, 0.035, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_saturated(self, n_ticks, busy, kind, frame_us, straddle_prob, seed):
+        lte = PUNCTURED_LTE[:n_ticks]
+        mask = busy_masks(lte)[busy]
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = saturated_traffic(lte, mask, frame_us, kind, rng_got, straddle_prob)
+        want = ref_saturated_traffic(lte, mask, frame_us, kind, rng_want, straddle_prob)
+        assert_same_traffic(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("kind", ["rx", "tx"])
+    def test_saturated_draws_span_several_blocks(self, kind):
+        # short frames on a clear channel draw far more doubles than one block
+        lte = np.tile(PUNCTURED_LTE, 4)
+        mask = np.zeros(len(lte), dtype=bool)
+        rng_got, rng_want = np.random.default_rng(9), np.random.default_rng(9)
+        got = saturated_traffic(lte, mask, (40.0, 80.0), kind, rng_got, 0.5)
+        want = ref_saturated_traffic(lte, mask, (40.0, 80.0), kind, rng_want, 0.5)
+        assert_same_traffic(got, want, rng_got, rng_want)
+        assert rng_got.random() == rng_want.random()
+
+    @pytest.mark.parametrize("ranges", [
+        {"frame_us": (400.0, 300.0)},
+        {"frame_us": 300.0, "gap_us": (200.0, 50.0)},
+    ])
+    def test_saturated_rejects_reversed_ranges(self, ranges):
+        lte = PUNCTURED_LTE
+        with pytest.raises(ValueError):
+            saturated_traffic(lte, lte, kind="tx", rng=np.random.default_rng(0), **ranges)
+
+    def test_traffic_scenarios_of_a_stream(self):
+        # the generators as the sweeps call them, on a sensed LTE sender
+        from ctclink.experiments import (
+            LIGHT_RATE_FPS, SATURATED_BURST_US, STRADDLE_PROB, WIFI_FRAME_US,
+        )
+        lte = PUNCTURED_LTE
+        for kind in ("rx", "tx"):
+            rng_got, rng_want = np.random.default_rng(11), np.random.default_rng(11)
+            got = poisson_traffic(lte, lte, LIGHT_RATE_FPS, WIFI_FRAME_US, kind, rng_got)
+            want = ref_poisson_traffic(lte, lte, LIGHT_RATE_FPS, WIFI_FRAME_US, kind, rng_want)
+            assert_same_traffic(got, want, rng_got, rng_want)
+            got = saturated_traffic(lte, lte, SATURATED_BURST_US, kind, rng_got, STRADDLE_PROB)
+            want = ref_saturated_traffic(lte, lte, SATURATED_BURST_US, kind, rng_want,
+                                         STRADDLE_PROB)
+            assert_same_traffic(got, want, rng_got, rng_want)

@@ -5,6 +5,7 @@ import io
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +178,12 @@ class TestCodebookFetch:
         with pytest.raises(X2ConnectivityError):
             x2.fetch_codebook(("127.0.0.1", 1), NETWORK_ID, timeout_s=0.2, retries=2, backoff_s=0.01)
 
+    def test_no_sleep_after_the_last_attempt(self):
+        start = time.perf_counter()
+        with pytest.raises(X2ConnectivityError):
+            x2.fetch_codebook(("127.0.0.1", 1), NETWORK_ID, timeout_s=0.2, retries=1, backoff_s=0.2)
+        assert time.perf_counter() - start < 0.1
+
     def test_ten_concurrent_clients_get_identical_bytes(self):
         with make_service() as service:
 
@@ -291,3 +298,28 @@ class TestProximityReports:
             for t in threads:
                 t.join()
             assert len(service.proximity_map()) == 8
+
+
+class TestServiceLifecycle:
+    def test_stop_closes_idle_connections(self):
+        before = set(threading.enumerate())
+        service = make_service()
+        clients = [X2Client(service.address, NETWORK_ID, ap_id=f"ap-{i}").connect() for i in range(2)]
+        try:
+            assert len(set(threading.enumerate()) - before) == 3  # acceptor + 2 handlers
+            service.stop()
+            assert not set(threading.enumerate()) - before
+            for client in clients:  # the server end is gone
+                with pytest.raises(X2ConnectivityError):
+                    client.fetch_codebook()
+        finally:
+            for client in clients:
+                client.close()
+            service.stop()
+
+    def test_stop_is_idempotent_without_clients(self):
+        before = set(threading.enumerate())
+        service = make_service()
+        service.stop()
+        service.stop()
+        assert not set(threading.enumerate()) - before
