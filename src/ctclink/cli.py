@@ -59,10 +59,6 @@ def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     return ExperimentSpec(**fields)
 
 
-def _parse_powers(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
@@ -83,7 +79,7 @@ def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--scenario", choices=("clear", "background-light",
                                                "background-high", "apdl-light", "apdl-high"))
-    parser.add_argument("--powers", dest="powers_dbm", type=_parse_powers,
+    parser.add_argument("--powers", dest="powers_dbm", type=_parse_floats,
                         help="comma-separated receive powers in dBm")
     parser.add_argument("--theta", type=int, help="energy-detection register")
     parser.add_argument("--repetitions", type=int)

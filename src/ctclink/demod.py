@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 from scipy import signal as sp_signal
 
-from . import kernels
 from .codec import (
     CodingScheme,
     CtcFrame,
@@ -142,21 +141,83 @@ def _pack_bits(symbols: Sequence[int], bits_per_symbol: int) -> tuple[bytes, int
     return (value << (8 * n_bytes - n_bits)).to_bytes(n_bytes, "big"), n_bits
 
 
-def detect_preamble(cleaned: np.ndarray, config: ReceiverConfig) -> list[tuple[int, float]]:
-    """Synchronization events: the first correlation at or above tau_p,
-    then every later correlation matching or beating the running peak."""
-    pre = config.preamble_correlation(np.asarray(cleaned, dtype=np.float64))
-    hits = np.flatnonzero(pre >= config.tau_p)
-    if hits.size == 0:
-        return []
-    t0 = int(hits[0])
-    events = [(t0, float(pre[t0]))]
-    tail = pre[t0 + 1:]
-    if tail.size:
-        running = np.maximum.accumulate(np.concatenate([[pre[t0]], tail]))[:-1]
-        for i in np.flatnonzero(tail >= running):
-            events.append((t0 + 1 + int(i), float(tail[i])))
-    return events
+def _first_at_least(values: np.ndarray, pos: int, level: float, block: int) -> int:
+    """Index of the first values[t] >= level with t >= pos, or -1.
+
+    Searches blocks that start at ``block`` samples and double until a
+    hit, so a search costs time in proportion to the distance it covers
+    rather than to the rest of the array.
+    """
+    n = len(values)
+    while pos < n:
+        hits = np.nonzero(values[pos:pos + block] >= level)[0]
+        if hits.size:
+            return pos + int(hits[0])
+        pos += block
+        block *= 2
+    return -1
+
+
+def _receiver_scan(cleaned, pre_corr, templates, W, L, tau_p, start, state):
+    """Scan a cleaned sample stream for frames.
+
+    The receiver is a per-sample state machine.  Unsynchronized, a
+    preamble correlation at or above tau_p arms it.  Synchronized, any
+    correlation at or above the running peak R re-anchors the frame, and
+    every W samples after the anchor one symbol is decoded by correlating
+    the trailing window against every template (first maximum wins).
+    The scan jumps from event to event instead of visiting every sample;
+    between events the state cannot change.
+
+    Args:
+        cleaned: float64 stream in the symmetric (-0.5, +0.5) domain.
+        pre_corr: preamble correlation, pre_corr[t] covering the window
+            ending at t; -inf where that window is not yet full.
+        templates: (alphabet, W) matrix of one-cycle references.
+        W: samples per duty cycle (one symbol decoded per cycle).
+        L: data symbols per frame.
+        tau_p: synchronization threshold.
+        start: first sample to examine; earlier samples are carry-over
+            context for windows reaching back across a chunk boundary.
+        state: (s, R, t0, l, anchor, partial) from the previous call, or
+            None.  s is 1 while synchronized, t0 the last anchor or decode
+            instant, l the symbols decoded so far and partial their values.
+
+    Returns:
+        (frames, state); frames holds (anchor, R, symbols) of each frame
+        completed here, with indices local to this array.
+    """
+    T = len(cleaned)
+    s, R, t0, l, anchor, partial = state or (0, 0.0, 0, 0, 0, ())
+    partial = list(partial)
+    frames = []
+    pos = start
+    while pos < T:
+        if s == 0:
+            t = _first_at_least(pre_corr, pos, tau_p, W)
+            if t < 0:
+                break
+            s, R, t0, l, anchor, partial = 1, float(pre_corr[t]), t, 0, t, []
+            pos = t + 1
+            continue
+        next_dec = t0 + W
+        hits = np.nonzero(pre_corr[pos:next_dec + 1] >= R)[0]
+        if hits.size:
+            # a stronger preamble match restarts the frame
+            t = pos + int(hits[0])
+            R, t0, l, anchor, partial = float(pre_corr[t]), t, 0, t, []
+            pos = t + 1
+            continue
+        if next_dec >= T:
+            break  # the decode instant lies beyond this chunk
+        partial.append(int(np.argmax(templates @ cleaned[next_dec - W + 1:next_dec + 1])))
+        l += 1
+        t0 = next_dec
+        if l == L:
+            frames.append((anchor, R, partial))
+            s, l, partial = 0, 0, []
+        pos = next_dec + 1
+    return frames, (s, R, t0, l, anchor, tuple(partial))
 
 
 class Demodulator:
@@ -164,6 +225,9 @@ class Demodulator:
 
     Chunks are processed with a carry-over of one preamble length so
     correlation windows and symbol windows may span chunk boundaries.
+    A symbol is decoded at the last sample of its cycle, so a frame is
+    complete only once the stream holds the full window that ends its
+    last cycle; a stream ending before that yields the frame truncated.
     """
 
     def __init__(self, config: ReceiverConfig) -> None:
@@ -180,12 +244,12 @@ class Demodulator:
             cleaned = np.asarray(chunk, dtype=np.float64)
         buf = np.concatenate([self._carry, cleaned])
         pre = cfg.preamble_correlation(buf)
-        raw, state = kernels.receiver_scan(
+        raw, state = _receiver_scan(
             buf, pre, cfg.templates, cfg.samples_per_cycle, cfg.frame_symbols,
-            cfg.tau_p, start=len(self._carry), state=self._state,
+            cfg.tau_p, len(self._carry), self._state,
         )
         frames = [self._assemble(anchor + self._global0, peak, symbols, True)
-                  for anchor, peak, symbols, _ in raw]
+                  for anchor, peak, symbols in raw]
         keep = min(len(buf), cfg.preamble_len)
         s, peak, t0, l, anchor, partial = state
         self._state = (s, peak, t0 - len(buf) + keep, l, anchor - len(buf) + keep, partial)

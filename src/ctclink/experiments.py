@@ -210,6 +210,16 @@ class SweepPoint:
     n_frames: int
 
 
+def _points_to_csv(points: list[SweepPoint], path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames\n")
+        for p in points:
+            fh.write(
+                f"{p.scenario},{p.theta},{p.power_dbm:g},{p.fer:.6f},{p.ser:.6f},"
+                f"{p.fer_lo:.6f},{p.fer_hi:.6f},{p.n_frames}\n"
+            )
+
+
 @dataclass
 class SweepResult:
     spec: ExperimentSpec
@@ -222,13 +232,7 @@ class SweepResult:
         )
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames\n")
-            for p in self.points:
-                fh.write(
-                    f"{p.scenario},{p.theta},{p.power_dbm:g},{p.fer:.6f},{p.ser:.6f},"
-                    f"{p.fer_lo:.6f},{p.fer_hi:.6f},{p.n_frames}\n"
-                )
+        _points_to_csv(self.points, path)
 
 
 def _run_point(spec: ExperimentSpec, point_index: int) -> SweepPoint:
@@ -279,14 +283,9 @@ class EdSweepResult:
     knees: list[KneeSummary]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames\n")
-            for theta in sorted(self.sweeps):
-                for p in self.sweeps[theta].points:
-                    fh.write(
-                        f"{p.scenario},{p.theta},{p.power_dbm:g},{p.fer:.6f},{p.ser:.6f},"
-                        f"{p.fer_lo:.6f},{p.fer_hi:.6f},{p.n_frames}\n"
-                    )
+        _points_to_csv(
+            [p for theta in sorted(self.sweeps) for p in self.sweeps[theta].points], path
+        )
 
     def knees_to_csv(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

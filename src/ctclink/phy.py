@@ -455,6 +455,10 @@ def sample_mac_states(
     Each (waveform, link) pair is one LTE source; a tick registers intf
     when any transmitting source's instantaneous receive power (mean plus
     optional fast measurement noise) reaches that link's ED threshold.
+
+    Only whole windows are sampled: trailing ticks that do not fill one
+    window are dropped, so the series covers ``n_ticks // ticks_per_window``
+    windows.
     """
     if isinstance(waveforms, Waveform):
         waveforms = [waveforms]

@@ -1,27 +1,27 @@
 """Receiver tests: cleaning rules, synchronization, streaming demodulation,
-kernel equivalence, and the error-rate metrics."""
+the scan against a per-sample oracle, and the error-rate metrics."""
+
+import bisect
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ctclink import _kernels_py, kernels
 from ctclink.codec import build_frame, frame_symbol_count, get_scheme
 from ctclink.demod import (
     Demodulator,
     ReceiverConfig,
+    _receiver_scan,
     clean_signal,
     demodulate,
-    detect_preamble,
     frames_to_csv,
     measure_fer_ser,
 )
-from ctclink.phy import CsatConfig, MacStateSeries, generate_waveform, sample_mac_states
+from ctclink.experiments import scenario_traffic
+from ctclink.phy import CsatConfig, MacStateSeries, Waveform, generate_waveform, sample_mac_states
 from ctclink.radio import RadioLink
-
-try:
-    from ctclink import _kernels
-except ImportError:  # pragma: no cover - extension not built
-    _kernels = None
 
 CONFIGS = {
     "wide20": CsatConfig(40, 20),
@@ -38,14 +38,15 @@ def make_config(name: str) -> ReceiverConfig:
     return ReceiverConfig(get_scheme(name), CONFIGS[name])
 
 
-def transmit(name: str, n_frames: int = 1, lead_windows: int = 0, distance_m: float = 5.0):
+def transmit(name: str, n_frames: int = 1, lead_windows: int = 0, distance_m: float = 5.0,
+             lead_ticks: int = 0):
     """Sampled MAC states of n_frames back-to-back frames plus the TX log."""
     scheme = get_scheme(name)
     stream = build_frame(NETWORK_ID, CLUSTERS, scheme)
     schedules = list(stream.schedules()) * n_frames
     wave = generate_waveform(CONFIGS[name], schedules)
-    if lead_windows:
-        wave = wave.with_lead_in(lead_windows * 5)
+    if lead_windows or lead_ticks:
+        wave = wave.with_lead_in(lead_windows * 5 + lead_ticks)
     series = sample_mac_states(wave, RadioLink(distance_m=distance_m))
     return stream, series
 
@@ -153,7 +154,6 @@ class TestLoopback:
         _, series = transmit("wide20", distance_m=100.0)
         cfg = make_config("wide20")
         assert demodulate(series, cfg) == []
-        assert detect_preamble(clean_signal(series), cfg) == []
 
     def test_accepts_cleaned_array_directly(self):
         _, series = transmit("short12")
@@ -173,19 +173,6 @@ class TestLoopback:
         pad = 8 * ((n_bits + 7) // 8) - n_bits
         assert frame.n_bits == n_bits
         assert int.from_bytes(frame.bits, "big") == value << pad
-
-
-class TestPreambleDetection:
-    def test_single_frame_peak_is_last_event(self):
-        _, series = transmit("wide20", lead_windows=40)
-        cfg = make_config("wide20")
-        events = detect_preamble(clean_signal(series), cfg)
-        assert events
-        t_last, r_last = events[-1]
-        assert t_last == 40 + cfg.preamble_len - 1
-        assert r_last == pytest.approx(cfg.max_corr)
-        assert all(r >= cfg.tau_p for _, r in events)
-        assert [t for t, _ in events] == sorted(t for t, _ in events)
 
 
 class TestStreaming:
@@ -230,6 +217,17 @@ class TestStreaming:
         assert frame.n_bits == 30 * scheme.bits_per_symbol
         assert demod.finish() == []
 
+    @pytest.mark.parametrize("lead_ticks, n_complete", [(4, 2), (5, 3)])
+    def test_frame_needs_its_last_full_window(self, lead_ticks, n_complete):
+        # the sampler keeps whole 5-tick windows only: a 4-tick lead-in
+        # pushes the last frame's final window past the end of the stream
+        stream, series = transmit("wide20", n_frames=3, lead_ticks=lead_ticks)
+        frames = demodulate(series, make_config("wide20"))
+        assert [f.complete for f in frames] == [True] * n_complete + [False] * (3 - n_complete)
+        assert all(f.frame.all_ok for f in frames[:n_complete])
+        if n_complete < 3:
+            assert frames[-1].symbols == tuple(stream.data[:-1])
+
     def test_feed_after_finish_starts_clean(self):
         _, series = transmit("wide20")
         cfg = make_config("wide20")
@@ -263,6 +261,85 @@ class TestResync:
         assert all(not f.frame.all_ok for f in frames if f.complete and f is not frame)
 
 
+def oracle_scan(cleaned, pre_corr, templates, W, L, tau_p, history=None):
+    """The receiver's state machine run one sample at a time.
+
+    The reference for the event-jumping scan in demod: every sample is
+    visited and the state changes exactly as the scan documents.  A
+    decode takes its correlations from the same matrix product as the
+    scan, so both see the same floats, and picks the first maximum with
+    an explicit loop.  With ``history`` a list, (t, state) is appended
+    after every sample that changed the state.
+    """
+    s, R, t0, l, anchor, partial = 0, 0.0, 0, 0, 0, []
+    frames = []
+    for t, r in enumerate(pre_corr.tolist()):
+        if s == 0:
+            if r < tau_p:
+                continue
+            s, R, t0, l, anchor, partial = 1, r, t, 0, t, []
+        elif r >= R:
+            R, t0, l, anchor, partial = r, t, 0, t, []
+        elif t - t0 == W:
+            corr = (templates @ cleaned[t - W + 1:t + 1]).tolist()
+            best, best_v = -1e300, 0
+            for v, acc in enumerate(corr):
+                if acc > best:
+                    best, best_v = acc, v
+            partial.append(best_v)
+            l += 1
+            t0 = t
+            if l == L:
+                frames.append((anchor, R, tuple(partial)))
+                s, l, partial = 0, 0, []
+        else:
+            continue
+        if history is not None:
+            history.append((t, (s, R, t0, l, anchor, tuple(partial))))
+    return frames, (s, R, t0, l, anchor, tuple(partial))
+
+
+def oracle_decode(cleaned, config, history=None):
+    """One-shot oracle frames as (sync_t, peak, symbols, complete), with a
+    stream that ends mid-frame giving that frame truncated."""
+    cleaned = np.asarray(cleaned, dtype=np.float64)
+    frames, (s, R, _t0, l, anchor, partial) = oracle_scan(
+        cleaned, config.preamble_correlation(cleaned), config.templates,
+        config.samples_per_cycle, config.frame_symbols, config.tau_p, history,
+    )
+    out = [(a, r, symbols, True) for a, r, symbols in frames]
+    if s == 1 and l > 0:
+        out.append((anchor, R, partial, False))
+    return out
+
+
+def oracle_state_at(history, cut):
+    """The oracle's state after samples [0, cut), from its history."""
+    i = bisect.bisect_left([t for t, _ in history], cut)
+    return history[i - 1][1] if i else (0, 0.0, 0, 0, 0, ())
+
+
+def as_tuples(frames):
+    return [(f.sync_t, f.peak_corr, f.symbols, f.complete) for f in frames]
+
+
+def scan_matches_oracle(cleaned, pre, templates, W, L, tau, cuts=()):
+    """The scan, resumed at each cut, against the one-shot oracle: the
+    same frames, and the same state at every cut and at the end."""
+    history = []
+    expected, final = oracle_scan(cleaned, pre, templates, W, L, tau, history)
+    frames, state, start = [], None, 0
+    for cut in [*cuts, len(cleaned)]:
+        # indices stay local to the whole array, so a prefix resumes exactly
+        got, state = _receiver_scan(cleaned[:cut], pre[:cut], templates, W, L, tau, start, state)
+        frames += [(a, r, tuple(symbols)) for a, r, symbols in got]
+        assert state == oracle_state_at(history, cut)
+        start = cut
+    assert frames == expected
+    assert state == final
+    return history
+
+
 def _random_case(seed: int):
     rng = np.random.default_rng(seed)
     W, L, A = 6, 3, 4
@@ -280,31 +357,129 @@ def _random_case(seed: int):
     return cleaned, pre, templates, W, L, tau
 
 
-@pytest.mark.skipif(_kernels is None, reason="compiled kernel not built")
-class TestKernelEquivalence:
+def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
+    """Cleaned capture of two and a half frames near the detection
+    threshold, under saturated WiFi traffic and ED measurement noise.
+
+    Every symbol gets a cycle of its own, as the receiver expects, so the
+    stream syncs and decodes at any cycle length.
+    """
+    rng = np.random.default_rng(seed)
+    schedules = list(build_frame(NETWORK_ID, CLUSTERS, get_scheme(name)).schedules())
+    schedules = schedules * 2 + schedules[:len(schedules) // 2]
+    cycles = [generate_waveform(csat, [s], n_cycles=1) for s in schedules]
+    wave = Waveform(
+        cycles[0].resolution_us, csat,
+        np.concatenate([w.tx for w in cycles]),
+        np.concatenate([w.envelope for w in cycles]),
+        [],
+    ).with_lead_in(int(rng.integers(0, 5 * config.samples_per_cycle)))
+    traffic = scenario_traffic("background-high", wave.tx, wave.tx, rng)
+    link = RadioLink.at_rx_power(-61.0)
+    series = sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
+    return clean_signal(series)
+
+
+class TestScanAgainstOracle:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_streams(self, seed):
         cleaned, pre, templates, W, L, tau = _random_case(seed)
-        f_py, s_py = _kernels_py.receiver_scan(cleaned, pre, templates, W, L, tau)
-        f_c, s_c = _kernels.receiver_scan(cleaned, pre, templates, W, L, tau)
-        assert len(f_py) == len(f_c)
-        for a, b in zip(f_py, f_c):
-            assert a[0] == b[0]
-            assert a[1] == b[1]
-            assert np.array_equal(a[2], b[2])
-            assert a[3] == b[3]
-        assert s_py[:2] == s_c[:2] and s_py[2:] == s_c[2:]
+        T = len(cleaned)
+        cuts = (T // 3, T // 3 + 1, 2 * T // 3)
+        scan_matches_oracle(cleaned, pre, templates, W, L, tau, cuts)
 
-    def test_backends_agree_on_loopback(self, monkeypatch):
-        _, series = transmit("wide20", n_frames=2, lead_windows=5)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ties_go_to_the_first_template(self, seed):
+        # binary streams and templates give exact ties between templates
+        rng = np.random.default_rng(100 + seed)
+        W, L, A, T = 6, 4, 8, 600
+        cleaned = rng.choice([-0.5, 0.5], size=T)
+        templates = rng.choice([-0.5, 0.5], size=(A, W))
+        pre = np.full(T, -np.inf)
+        pre[4 * W - 1:] = np.correlate(cleaned, rng.choice([-0.5, 0.5], size=4 * W), mode="valid")
+        history = scan_matches_oracle(cleaned, pre, templates, W, L, 2.0)
+        # states with symbols pending were set at decode instants
+        decodes = [t for t, (_, _, _, l, _, _) in history if l]
+        top_two = [np.sort(templates @ cleaned[t - W + 1:t + 1])[-2:] for t in decodes]
+        assert sum(a == b for a, b in top_two) >= 5
+
+    @pytest.mark.parametrize("W", [1, 5, 7])
+    def test_sync_found_at_every_offset(self, W):
+        # one threshold crossing, placed at each index in turn, including
+        # every edge of the doubling search blocks
+        T, tau = 160, 1.0
+        rng = np.random.default_rng(W)
+        cleaned = rng.uniform(-0.5, 0.5, size=T)
+        templates = rng.uniform(-0.5, 0.5, size=(3, W))
+        for k in range(T):
+            pre = np.full(T, -np.inf)
+            pre[k] = tau
+            scan_matches_oracle(cleaned, pre, templates, W, 3, tau)
+
+    def test_single_frame_sync_and_peak(self):
+        _, series = transmit("wide20", lead_windows=40)
         cfg = make_config("wide20")
-        compiled = demodulate(series, cfg)
-        monkeypatch.setattr(kernels, "receiver_scan", _kernels_py.receiver_scan)
-        fallback = demodulate(series, cfg)
-        assert compiled == fallback
+        cleaned = clean_signal(series)
+        (frame,) = demodulate(cleaned, cfg)
+        ((sync_t, peak, symbols, complete),) = oracle_decode(cleaned, cfg)
+        assert frame.sync_t == sync_t == 40 + cfg.preamble_len - 1
+        assert frame.peak_corr == peak == pytest.approx(cfg.max_corr)
+        assert frame.symbols == symbols and frame.complete and complete
 
-    def test_backend_reports_compiled(self):
-        assert kernels.backend() == "compiled"
+    def test_noisy_loopback(self):
+        cfg = make_config("wide20")
+        cleaned = noisy_loopback("wide20", CONFIGS["wide20"], cfg, seed=5)
+        history = []
+        expected = oracle_decode(cleaned, cfg, history)
+        frames = demodulate(cleaned, cfg)
+        assert as_tuples(frames) == expected
+        # the capture holds re-syncs (anchors that start no frame), a frame
+        # that fails its CRCs, and a truncated tail
+        assert len({state[4] for _, state in history}) > len(expected)
+        assert any(f.frame is not None and not f.frame.all_ok for f in frames)
+        assert not expected[-1][3]
+
+
+PROPERTY_SCHEMES = ("wide20", "short12", "multi20-k1", "multi20-k2", "multi20-k3", "multi20-k4")
+PROPERTY_CYCLES_MS = (40, 80, 160)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_capture(name: str, cycle_ms: int):
+    """(config, cleaned capture, oracle frames, oracle state history)."""
+    csat = CsatConfig(cycle_ms, cycle_ms // 2)
+    config = ReceiverConfig(get_scheme(name), csat)
+    cleaned = noisy_loopback(name, csat, config, seed=cycle_ms + len(name))
+    history = []
+    return config, cleaned, oracle_decode(cleaned, config, history), history
+
+
+class TestChunkingProperty:
+    @pytest.mark.parametrize("cycle_ms", PROPERTY_CYCLES_MS)
+    @pytest.mark.parametrize("name", PROPERTY_SCHEMES)
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_chunking_does_not_change_decoding(self, name, cycle_ms, data):
+        config, cleaned, expected, history = oracle_capture(name, cycle_ms)
+        n = len(cleaned)
+        W = config.samples_per_cycle
+        spread = data.draw(st.lists(st.integers(1, n - 1), max_size=12))
+        # a run of small chunks, some shorter than the preamble
+        base = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.lists(st.integers(1, 2 * W), max_size=8))
+        run = base + np.cumsum(steps, dtype=np.int64) if steps else []
+        cuts = sorted({int(c) for c in [*spread, base, *run] if 0 < c < n})
+
+        demod = Demodulator(config)
+        frames, prev = [], 0
+        for cut in [*cuts, n]:
+            frames += demod.feed(cleaned[prev:cut])
+            prev = cut
+            s, R, t0, l, anchor, partial = demod._state
+            g = demod._global0
+            assert (s, R, t0 + g, l, anchor + g, partial) == oracle_state_at(history, cut)
+        frames += demod.finish()
+        assert as_tuples(frames) == expected
 
 
 class TestMetrics:
