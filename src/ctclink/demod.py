@@ -56,6 +56,23 @@ def clean_signal(
     return s - 0.5
 
 
+def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
+    """ValueError when one ON phase has room for two of the scheme's symbols.
+
+    generate_waveform starts a second symbol in the same ON phase when its
+    transmit span (the symbol less its trailing punctures) still fits, but
+    the receiver decodes one symbol per duty cycle.  A trailing run of
+    punctures is at most the mandatory gap plus, in tail style, every extra
+    puncture; each built-in scheme has a schedule that reaches that bound.
+    """
+    longest_tail_ms = scheme.mandatory_ms + (scheme.extra_punctures if scheme.style == "tail" else 0)
+    if scheme.symbol_ms + (scheme.symbol_ms - longest_tail_ms) <= csat.on_ms:
+        raise ValueError(
+            f"ON time {csat.on_ms:g} ms has room for two {scheme.name} symbols; "
+            "the receiver decodes one symbol per ON phase"
+        )
+
+
 class ReceiverConfig:
     """Everything the demodulator needs for one (scheme, duty cycle) pair."""
 

@@ -17,7 +17,13 @@ import numpy as np
 
 from . import analytics
 from .codec import CodingScheme, build_frame, get_scheme
-from .demod import DecodedFrame, Demodulator, ReceiverConfig, measure_fer_ser
+from .demod import (
+    DecodedFrame,
+    Demodulator,
+    ReceiverConfig,
+    measure_fer_ser,
+    require_one_symbol_per_on,
+)
 from .multicell import GridResult, build_hex_deployment, grid_evaluate
 from .phy import (
     CsatConfig,
@@ -73,6 +79,7 @@ class ExperimentSpec:
         if list(powers) != sorted(powers):
             raise ValueError("power sweep must be sorted ascending")
         object.__setattr__(self, "powers_dbm", powers)
+        require_one_symbol_per_on(get_scheme(self.scheme), self.csat)
 
     @property
     def csat(self) -> CsatConfig:
@@ -169,6 +176,7 @@ def run_stream(
     ed_noise_sigma_db: float = DEFAULT_ED_NOISE_SIGMA_DB,
 ) -> tuple[float, float]:
     """(FER, SER) of one continuous stream of frames with fresh traffic."""
+    require_one_symbol_per_on(scheme, csat)
     tx_symbols = []
     schedules = []
     for _ in range(n_frames):

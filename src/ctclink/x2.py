@@ -12,6 +12,9 @@ version, unknown type, oversized frame, truncated framing) get a
 best-effort ERROR and the connection is closed.  The codebook payload is
 canonical — entries sorted row-major (cluster, slot), member IDs sorted,
 with a trailing CRC-16 — so both ends can compare checksums byte for byte.
+A codebook whose CRC matches but whose structure does not (truncated
+entries, a member count running past the end, trailing bytes) raises
+X2WireError like any other malformed payload.
 """
 
 from __future__ import annotations
@@ -31,7 +34,14 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
 # how long stop() waits for the connection handlers, then for the acceptor
 _STOP_TIMEOUT_S = 2.0
-_PREFIX = struct.Struct("!I")
+_U8 = struct.Struct("!B")
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
+_PREFIX = _U32
+_U16_PAIR = struct.Struct("!HH")
+# codebook entry: slot, cluster ID, member count; then count u16 members
+_ENTRY_HEAD = struct.Struct("!HHB")
+_MEMBERS = tuple(struct.Struct(f"!{n}H") for n in range(256))
 
 
 class MessageType(enum.IntEnum):
@@ -125,16 +135,15 @@ class _Reader:
         self._data = data
         self._pos = 0
 
-    def take(self, fmt: str):
-        s = struct.Struct(fmt)
-        if self._pos + s.size > len(self._data):
+    def take(self, fields: struct.Struct) -> tuple:
+        if self._pos + fields.size > len(self._data):
             raise X2WireError("payload truncated")
-        out = s.unpack_from(self._data, self._pos)
-        self._pos += s.size
+        out = fields.unpack_from(self._data, self._pos)
+        self._pos += fields.size
         return out
 
     def take_str(self) -> str:
-        (n,) = self.take("!H")
+        (n,) = self.take(_U16)
         if self._pos + n > len(self._data):
             raise X2WireError("payload truncated")
         raw = self._data[self._pos:self._pos + n]
@@ -156,7 +165,7 @@ def encode_hello(ap_id: str, network_id: int) -> bytes:
 def decode_hello(payload: bytes) -> tuple[str, int]:
     reader = _Reader(payload)
     ap_id = reader.take_str()
-    (network_id,) = reader.take("!I")
+    (network_id,) = reader.take(_U32)
     reader.expect_end()
     return ap_id, network_id
 
@@ -174,10 +183,10 @@ def encode_report(ap_id: str, pairs, cells) -> bytes:
 def decode_report(payload: bytes) -> tuple[str, list[tuple[int, int]], list[int]]:
     reader = _Reader(payload)
     ap_id = reader.take_str()
-    (n_pairs,) = reader.take("!H")
-    pairs = [tuple(reader.take("!HH")) for _ in range(n_pairs)]
-    (n_cells,) = reader.take("!H")
-    cells = [reader.take("!H")[0] for _ in range(n_cells)]
+    (n_pairs,) = reader.take(_U16)
+    pairs = [reader.take(_U16_PAIR) for _ in range(n_pairs)]
+    (n_cells,) = reader.take(_U16)
+    cells = [reader.take(_U16)[0] for _ in range(n_cells)]
     reader.expect_end()
     return ap_id, pairs, cells
 
@@ -188,7 +197,7 @@ def encode_error(code: int, detail: str) -> bytes:
 
 def decode_error(payload: bytes) -> tuple[int, str]:
     reader = _Reader(payload)
-    (code,) = reader.take("!B")
+    (code,) = reader.take(_U8)
     detail = reader.take_str()
     reader.expect_end()
     return code, detail
@@ -197,29 +206,38 @@ def decode_error(payload: bytes) -> tuple[int, str]:
 def serialize_codebook(book: Codebook) -> bytes:
     """Canonical bytes: row-major (cluster, slot) entries plus a CRC-16."""
     entries = sorted(book.entries.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-    out = [struct.pack("!HH", len(entries), book.n_slots)]
+    out = [_U16_PAIR.pack(len(entries), book.n_slots)]
     for (slot, cluster_id), members in entries:
-        members = sorted(members)
-        out.append(struct.pack("!HHB", slot, cluster_id, len(members)))
-        out += [struct.pack("!H", m) for m in members]
+        out.append(_ENTRY_HEAD.pack(slot, cluster_id, len(members)))
+        out.append(_MEMBERS[len(members)].pack(*sorted(members)))
     body = b"".join(out)
     return body + struct.pack("!H", crc16(body))
 
 
 def deserialize_codebook(data: bytes) -> Codebook:
+    """Inverse of serialize_codebook; X2WireError for any malformed payload.
+
+    One pass over the body: each entry is one head unpack and one unpack
+    of all its members, and a short body surfaces as struct.error.
+    """
     if len(data) < 6:
         raise X2WireError("codebook payload too short")
     body, (checksum,) = data[:-2], struct.unpack("!H", data[-2:])
     if crc16(body) != checksum:
         raise X2WireError("codebook checksum mismatch")
-    reader = _Reader(body)
-    n_entries, n_slots = reader.take("!HH")
-    entries = {}
-    for _ in range(n_entries):
-        slot, cluster_id, count = reader.take("!HHB")
-        members = tuple(reader.take("!H")[0] for _ in range(count))
-        entries[(slot, cluster_id)] = members
-    reader.expect_end()
+    try:
+        n_entries, n_slots = _U16_PAIR.unpack_from(body)
+        pos = _U16_PAIR.size
+        entries = {}
+        for _ in range(n_entries):
+            slot, cluster_id, count = _ENTRY_HEAD.unpack_from(body, pos)
+            members = _MEMBERS[count]
+            entries[(slot, cluster_id)] = members.unpack_from(body, pos + _ENTRY_HEAD.size)
+            pos += _ENTRY_HEAD.size + members.size
+    except struct.error:
+        raise X2WireError("payload truncated") from None
+    if pos != len(body):
+        raise X2WireError("trailing bytes after payload")
     return Codebook(entries, n_slots)
 
 
@@ -436,6 +454,8 @@ class X2Client:
             self._sock = socket.create_connection(self.address, timeout=self.timeout_s)
         except OSError as exc:
             raise X2ConnectivityError(f"cannot reach {self.address}: {exc}") from exc
+        # requests are small and each waits for its reply: send them at once
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._roundtrip(
             MessageType.HELLO,
             encode_hello(self.ap_id, self.network_id),

@@ -52,6 +52,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(cycle_ms=40.5).csat
 
+    def test_on_phase_with_room_for_two_symbols_rejected(self):
+        # 40 ms of ON time holds a 20 ms symbol and the 18 ms span of the next
+        with pytest.raises(ValueError, match="one symbol per ON phase"):
+            ExperimentSpec(cycle_ms=80, on_ms=40)
+
+    @pytest.mark.parametrize("cycle_ms, on_ms, scheme", [(40, 20, "wide20"), (80, 19, "short12")])
+    def test_one_symbol_per_on_phase_accepted(self, cycle_ms, on_ms, scheme):
+        spec = ExperimentSpec(cycle_ms=cycle_ms, on_ms=on_ms, scheme=scheme)
+        assert spec.csat == CsatConfig(cycle_ms, on_ms)
+
     def test_default_sweep_centers_on_register(self):
         powers = default_power_sweep(28, span_db=2.0, step_db=1.0)
         assert powers == (-64.0, -63.0, -62.0, -61.0, -60.0)
@@ -196,6 +206,23 @@ class TestRunStream:
             "clear", 4, rng,
         )
         assert fer == 1.0 and ser == 1.0
+
+    def test_two_symbols_per_on_phase_rejected(self):
+        with pytest.raises(ValueError, match="one symbol per ON phase"):
+            run_stream(
+                get_scheme("wide20"), CsatConfig(80, 40),
+                RadioLink.at_rx_power(-56.0, ed_register=28),
+                "clear", 2, np.random.default_rng(5),
+            )
+
+    @pytest.mark.parametrize("cycle_ms, on_ms, scheme", [(40, 20, "wide20"), (80, 19, "short12")])
+    def test_one_symbol_per_on_phase_decodes(self, cycle_ms, on_ms, scheme):
+        fer, ser = run_stream(
+            get_scheme(scheme), CsatConfig(cycle_ms, on_ms),
+            RadioLink.at_rx_power(-56.0, ed_register=28),
+            "clear", 2, np.random.default_rng(5),
+        )
+        assert fer == 0.0 and ser == 0.0
 
 
 class TestLinkSweep:

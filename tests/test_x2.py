@@ -46,6 +46,65 @@ def make_service(**kwargs):
     return X2Service(make_codebook(), NETWORK_ID, **kwargs).start()
 
 
+class _OracleReader:
+    """Field-at-a-time reader: one struct per field, bounds checked first."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def take(self, fmt: str):
+        s = struct.Struct(fmt)
+        if self._pos + s.size > len(self._data):
+            raise X2WireError("payload truncated")
+        out = s.unpack_from(self._data, self._pos)
+        self._pos += s.size
+        return out
+
+    def expect_end(self) -> None:
+        if self._pos != len(self._data):
+            raise X2WireError("trailing bytes after payload")
+
+
+def oracle_deserialize_codebook(data: bytes) -> x2.Codebook:
+    """Plain-Python decoder the one-pass deserialize_codebook must match."""
+    if len(data) < 6:
+        raise X2WireError("codebook payload too short")
+    body, (checksum,) = data[:-2], struct.unpack("!H", data[-2:])
+    if crc16(body) != checksum:
+        raise X2WireError("codebook checksum mismatch")
+    reader = _OracleReader(body)
+    n_entries, n_slots = reader.take("!HH")
+    entries = {}
+    for _ in range(n_entries):
+        slot, cluster_id, count = reader.take("!HHB")
+        members = tuple(reader.take("!H")[0] for _ in range(count))
+        entries[(slot, cluster_id)] = members
+    reader.expect_end()
+    return x2.Codebook(entries, n_slots)
+
+
+def outcome(decode, data):
+    """(entries, n_slots) of a decode, or the X2WireError message."""
+    try:
+        book = decode(data)
+    except X2WireError as exc:
+        return f"X2WireError: {exc}"
+    return book.entries, book.n_slots
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("!H", crc16(body))
+
+
+u16 = st.integers(min_value=0, max_value=0xFFFF)
+codebooks = st.builds(
+    x2.Codebook,
+    st.dictionaries(st.tuples(u16, u16), st.lists(u16, max_size=255).map(tuple), max_size=12),
+    u16,
+)
+
+
 class _SocketStub:
     """Minimal recv() source backed by a byte string."""
 
@@ -107,6 +166,23 @@ class TestWireFormat:
         with pytest.raises(X2WireError):
             decode_hello(payload)
 
+    def test_error_roundtrip(self):
+        payload = x2.encode_error(ErrorCode.AUTH, "no entry")
+        assert decode_error(payload) == (ErrorCode.AUTH, "no entry")
+
+    @pytest.mark.parametrize(
+        "decode, payload",
+        [
+            (decode_hello, encode_hello("ap-west-2", 0xC0A80001)),
+            (decode_report, encode_report("ap-1", [(3, 5), (1, 2)], [9, 4, 7])),
+            (decode_error, x2.encode_error(ErrorCode.MALFORMED, "bad framing")),
+        ],
+    )
+    def test_every_truncation_is_a_wire_error(self, decode, payload):
+        for cut in range(len(payload)):
+            with pytest.raises(X2WireError, match="^payload truncated$"):
+                decode(payload[:cut])
+
 
 class TestCodebookSerialization:
     def test_roundtrip_is_identity(self):
@@ -136,6 +212,78 @@ class TestCodebookSerialization:
         again = deserialize_codebook(serialize_codebook(book))
         assert again.members(2, 4) == (3, 4, 6)
 
+    @given(book=codebooks)
+    @settings(max_examples=150, deadline=None)
+    def test_decoder_matches_oracle(self, book):
+        blob = serialize_codebook(book)
+        got = deserialize_codebook(blob)
+        assert got == oracle_deserialize_codebook(blob)
+        assert got.entries == {k: tuple(sorted(v)) for k, v in book.entries.items()}
+        assert all(type(m) is int for ms in got.entries.values() for m in ms)
+
+    def test_empty_codebook(self):
+        blob = serialize_codebook(x2.Codebook({}, 7))
+        assert blob == with_crc(struct.pack("!HH", 0, 7))
+        book = deserialize_codebook(blob)
+        assert book.entries == {} and book.n_slots == 7
+
+    def test_full_member_count(self):
+        book = x2.Codebook({(0xFFFF, 0xFFFF): tuple(range(0xFF00, 0xFFFF))}, 0xFFFF)
+        blob = serialize_codebook(book)
+        assert deserialize_codebook(blob) == oracle_deserialize_codebook(blob) == book
+
+
+class TestMalformedCodebook:
+    """Structural faults behind a checksum that matches the faulty body."""
+
+    def test_every_truncation_of_the_body(self):
+        body = serialize_codebook(example_codebook())[:-2]
+        for cut in range(len(body)):
+            blob = with_crc(body[:cut])
+            with pytest.raises(X2WireError):
+                deserialize_codebook(blob)
+            assert outcome(deserialize_codebook, blob) == outcome(oracle_deserialize_codebook, blob)
+
+    def test_one_trailing_byte(self):
+        blob = with_crc(serialize_codebook(example_codebook())[:-2] + b"\x00")
+        with pytest.raises(X2WireError, match="trailing bytes"):
+            deserialize_codebook(blob)
+
+    def test_member_count_running_past_the_end(self):
+        body = bytearray(serialize_codebook(x2.Codebook({(1, 2): (3, 4)}, 5))[:-2])
+        assert body[8] == 2  # header 4 bytes, then slot, cluster, count
+        body[8] = 3
+        with pytest.raises(X2WireError, match="truncated"):
+            deserialize_codebook(with_crc(bytes(body)))
+
+    def test_entry_count_running_past_the_end(self):
+        body = bytearray(serialize_codebook(example_codebook())[:-2])
+        body[0:2] = struct.pack("!H", struct.unpack("!H", body[0:2])[0] + 1)
+        with pytest.raises(X2WireError, match="truncated"):
+            deserialize_codebook(with_crc(bytes(body)))
+
+    @given(book=codebooks, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_edited_bodies_match_oracle(self, book, data):
+        body = bytearray(serialize_codebook(book)[:-2])
+        at = data.draw(st.integers(min_value=0, max_value=len(body)))
+        edit = data.draw(st.sampled_from(["cut", "insert", "replace"]))
+        chunk = data.draw(st.binary(min_size=1, max_size=8))
+        if edit == "cut":
+            del body[at:at + len(chunk)]
+        elif edit == "insert":
+            body[at:at] = chunk
+        else:
+            body[at:at + len(chunk)] = chunk
+        blob = with_crc(bytes(body))
+        assert outcome(deserialize_codebook, blob) == outcome(oracle_deserialize_codebook, blob)
+
+    @given(body=st.binary(max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bodies_match_oracle(self, body):
+        blob = with_crc(body)
+        assert outcome(deserialize_codebook, blob) == outcome(oracle_deserialize_codebook, blob)
+
 
 class TestHandshake:
     def test_hello_registers_ap(self):
@@ -146,6 +294,11 @@ class TestHandshake:
         assert set(registry) == {"ap-7"}
         assert registry["ap-7"].network_id == NETWORK_ID
         assert registry["ap-7"].timestamp > 0
+
+    def test_client_disables_nagle(self):
+        with make_service() as service:
+            with X2Client(service.address, NETWORK_ID) as client:
+                assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
     def test_wrong_network_id_is_auth_error(self):
         with make_service() as service:
