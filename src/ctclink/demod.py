@@ -31,42 +31,55 @@ from .codec import (
     parse_frame,
     preamble_schedules,
 )
-from .phy import CsatConfig, MacStateSeries, RESOLUTION_US, WINDOW_US, generate_waveform, sample_mac_states
+from .phy import WINDOW_US, CsatConfig, MacStateSeries, generate_waveform, sample_mac_states
 from .radio import RadioLink
 
+# cleaning thresholds: confident interference, confident silence, and the
+# rx/tx/idle share that marks a window as WiFi-dominated
+TAU1 = 0.8
+TAU2 = 0.8
+TAU3 = 0.5
+# synchronization threshold as a share of the preamble's peak correlation
+TAU_P_FACTOR = 0.75
 
-def clean_signal(
-    series: MacStateSeries,
-    tau1: float = 0.8,
-    tau2: float = 0.8,
-    tau3: float = 0.5,
-) -> np.ndarray:
+
+def clean_signal(series: MacStateSeries) -> np.ndarray:
     """Map MAC-state windows to the symmetric correlation domain.
 
-    Rules apply in order with strict comparisons: interference above tau1
-    saturates to 1, silence above tau2 saturates to 0, any of rx/tx/idle
-    above tau3 forces 0, then the DC offset of 0.5 is removed.
+    Rules apply in order with strict comparisons: interference above TAU1
+    saturates to 1, silence above TAU2 saturates to 0, any of rx/tx/idle
+    above TAU3 forces 0, then the DC offset of 0.5 is removed.
     """
     s = series.intf.astype(np.float64).copy()
-    s[s > tau1] = 1.0
-    s[(1.0 - s) > tau2] = 0.0
-    s[series.rx > tau3] = 0.0
-    s[series.tx > tau3] = 0.0
-    s[series.idle > tau3] = 0.0
+    s[s > TAU1] = 1.0
+    s[(1.0 - s) > TAU2] = 0.0
+    s[series.rx > TAU3] = 0.0
+    s[series.tx > TAU3] = 0.0
+    s[series.idle > TAU3] = 0.0
     return s - 0.5
 
 
 def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
-    """ValueError when one ON phase has room for two of the scheme's symbols.
+    """ValueError unless every ON phase holds exactly one of the scheme's symbols.
 
-    generate_waveform starts a second symbol in the same ON phase when its
-    transmit span (the symbol less its trailing punctures) still fits, but
-    the receiver decodes one symbol per duty cycle.  A trailing run of
-    punctures is at most the mandatory gap plus, in tail style, every extra
-    puncture; each built-in scheme has a schedule that reaches that bound.
+    generate_waveform places a symbol when its transmit span (the symbol
+    less its trailing punctures) fits the rest of the ON phase, but the
+    receiver decodes one symbol per duty cycle.  The shortest trailing run
+    is the mandatory gap in tail style and none in moving style, so the
+    longest span must fit one ON phase.  The longest trailing run is the
+    mandatory gap plus, in tail style, every extra puncture, so the
+    shortest span must not fit after a whole symbol.  Each built-in scheme
+    has schedules that reach both bounds.
     """
-    longest_tail_ms = scheme.mandatory_ms + (scheme.extra_punctures if scheme.style == "tail" else 0)
-    if scheme.symbol_ms + (scheme.symbol_ms - longest_tail_ms) <= csat.on_ms:
+    tail = scheme.style == "tail"
+    longest_span_ms = scheme.symbol_ms - (scheme.mandatory_ms if tail else 0)
+    shortest_span_ms = scheme.symbol_ms - scheme.mandatory_ms - (scheme.extra_punctures if tail else 0)
+    if longest_span_ms > csat.on_ms:
+        raise ValueError(
+            f"ON time {csat.on_ms:g} ms is shorter than the {longest_span_ms} ms "
+            f"transmit span of a {scheme.name} symbol"
+        )
+    if scheme.symbol_ms + shortest_span_ms <= csat.on_ms:
         raise ValueError(
             f"ON time {csat.on_ms:g} ms has room for two {scheme.name} symbols; "
             "the receiver decodes one symbol per ON phase"
@@ -74,27 +87,18 @@ def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
 
 
 class ReceiverConfig:
-    """Everything the demodulator needs for one (scheme, duty cycle) pair."""
+    """Everything the demodulator needs for one (scheme, duty cycle) pair.
 
-    def __init__(
-        self,
-        scheme: CodingScheme,
-        csat: CsatConfig,
-        window_us: int = WINDOW_US,
-        resolution_us: int = RESOLUTION_US,
-        tau1: float = 0.8,
-        tau2: float = 0.8,
-        tau3: float = 0.5,
-        tau_p_factor: float = 0.75,
-    ) -> None:
-        if (csat.cycle_ms * 1000) % window_us:
-            raise ValueError("cycle must be an integer number of sampling windows")
+    Samples are WINDOW_US windows cleaned with TAU1-TAU3; the
+    synchronization threshold tau_p is TAU_P_FACTOR times the preamble's
+    peak correlation.  Every cycle CsatConfig allows is a whole number of
+    windows.
+    """
+
+    def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
         self.scheme = scheme
         self.csat = csat
-        self.window_us = window_us
-        self.resolution_us = resolution_us
-        self.tau1, self.tau2, self.tau3 = tau1, tau2, tau3
-        self.samples_per_cycle = csat.cycle_ms * 1000 // window_us  # W
+        self.samples_per_cycle = csat.cycle_ms * 1000 // WINDOW_US  # W
         self.frame_symbols = frame_symbol_count(scheme)  # L
         self.templates = np.stack(
             [self._prototype(encode_symbol(v, scheme)) for v in range(scheme.alphabet_size)]
@@ -103,15 +107,13 @@ class ReceiverConfig:
         self.preamble = np.concatenate([self._prototype(p) for p in pre])
         self.preamble_len = len(self.preamble)  # N = 4W
         self.max_corr = float(self.preamble @ self.preamble)
-        self.tau_p = tau_p_factor * self.max_corr
+        self.tau_p = TAU_P_FACTOR * self.max_corr
 
     def _prototype(self, schedule: PunctureSchedule) -> np.ndarray:
         """One-cycle cleaned reference for a schedule, via the real pipeline."""
-        wave = generate_waveform(self.csat, [schedule], n_cycles=1,
-                                 resolution_us=self.resolution_us)
+        wave = generate_waveform(self.csat, [schedule], n_cycles=1)
         link = RadioLink(distance_m=1.0)  # far above any ED threshold
-        series = sample_mac_states(wave, link, window_us=self.window_us)
-        return clean_signal(series, self.tau1, self.tau2, self.tau3)
+        return clean_signal(sample_mac_states(wave, link))
 
     def preamble_correlation(self, cleaned: np.ndarray) -> np.ndarray:
         """r[t] = dot(P, window ending at t); -inf while the window is short.
@@ -256,7 +258,7 @@ class Demodulator:
     def feed(self, chunk: MacStateSeries | np.ndarray) -> list[DecodedFrame]:
         cfg = self.config
         if isinstance(chunk, MacStateSeries):
-            cleaned = clean_signal(chunk, cfg.tau1, cfg.tau2, cfg.tau3)
+            cleaned = clean_signal(chunk)
         else:
             cleaned = np.asarray(chunk, dtype=np.float64)
         buf = np.concatenate([self._carry, cleaned])

@@ -3,8 +3,8 @@
 Ties the codec, the PHY simulation, and the receiver together into seeded,
 reproducible sweeps: frame error rate versus receive power under several
 WiFi traffic scenarios, the same sweep across energy-detection registers,
-multicell detection grids, and the closed-form rate/airtime table.  Every
-run is deterministic for a fixed seed and emits plain CSV.
+and multicell detection grids.  Every run is deterministic for a fixed seed
+and emits plain CSV.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytics
 from .codec import CodingScheme, build_frame, get_scheme
 from .demod import (
     DecodedFrame,
@@ -391,12 +390,3 @@ def run_multicell(
             rng=rng,
         )
     return MulticellRun(station_count, results)
-
-
-def run_analytics(
-    ks=range(0, 10),
-    duties=analytics.DEFAULT_DUTIES,
-    cycles_ms=analytics.DEFAULT_CYCLES_MS,
-) -> list[analytics.AnalyticsPoint]:
-    """Closed-form rate/airtime table (no simulation)."""
-    return analytics.rate_airtime_table(ks=ks, duties=duties, cycles_ms=cycles_ms)

@@ -179,12 +179,6 @@ def _triad_anchors(q: int, r: int, orientation: str) -> list[tuple[int, int]]:
     return [(q - 1, r - 1), (q - 1, r), (q, r - 1)]
 
 
-def _triad_members(a: int, b: int, orientation: str) -> tuple[tuple[int, int], ...]:
-    if orientation == "up":
-        return ((a, b), (a + 1, b), (a, b + 1))
-    return ((a + 1, b + 1), (a + 1, b), (a, b + 1))
-
-
 def build_cluster_configurations(
     dep: Deployment,
 ) -> tuple[list[ClusterConfiguration], Codebook]:
@@ -274,17 +268,16 @@ def decodable_fields(
     rx_dbm: np.ndarray,
     configurations: Sequence[ClusterConfiguration],
     cell_ids: Sequence[int],
-    sensitivity_dbm: float = SENSITIVITY_DBM,
 ) -> ProximityObservation:
     """Threshold decodability at one location.
 
     A cluster-ID field decodes when at least one member is at or above
-    sensitivity and no station outside the cluster is.  The network-ID
+    SENSITIVITY_DBM and no station outside the cluster is.  The network-ID
     field decodes whenever anything is audible, since every station
     transmits it identically.
     """
     rx = np.asarray(rx_dbm, dtype=float)
-    above = {cid for cid, p in zip(cell_ids, rx) if p >= sensitivity_dbm}
+    above = {cid for cid, p in zip(cell_ids, rx) if p >= SENSITIVITY_DBM}
     if not above:
         return ProximityObservation(frozenset(), False)
     pairs = set()
@@ -300,15 +293,13 @@ def observation_at(
     dep: Deployment,
     point: Sequence[float],
     configurations: Sequence[ClusterConfiguration] | None = None,
-    sensitivity_dbm: float = SENSITIVITY_DBM,
-    pathloss: PathlossModel | None = None,
     shadowing: ShadowingField | None = None,
 ) -> ProximityObservation:
     """Threshold-model observation at a single receiver location."""
     if configurations is None:
         configurations, _ = build_cluster_configurations(dep)
-    rx = received_powers_dbm(dep, np.asarray(point, dtype=float)[None, :], pathloss, shadowing)
-    return decodable_fields(rx[0], configurations, dep.cell_ids, sensitivity_dbm)
+    rx = received_powers_dbm(dep, np.asarray(point, dtype=float)[None, :], shadowing=shadowing)
+    return decodable_fields(rx[0], configurations, dep.cell_ids)
 
 
 def estimate_proximity(
@@ -322,11 +313,12 @@ def estimate_proximity(
     return cells
 
 
-def best_sinr_db(rx_dbm: np.ndarray, noise_floor_dbm: float = NOISE_FLOOR_DBM) -> np.ndarray:
-    """Best-station SINR per point; with no interferer this is P/noise."""
+def best_sinr_db(rx_dbm: np.ndarray) -> np.ndarray:
+    """Best-station SINR per point over NOISE_FLOOR_DBM plus every other
+    station; with no interferer this is P/noise."""
     p_mw = dbm_to_mw(np.atleast_2d(rx_dbm))
     total = p_mw.sum(axis=1, keepdims=True)
-    noise_mw = dbm_to_mw(noise_floor_dbm)
+    noise_mw = dbm_to_mw(NOISE_FLOOR_DBM)
     sinr = p_mw / (noise_mw + (total - p_mw))
     return 10.0 * np.log10(sinr.max(axis=1))
 
@@ -355,18 +347,16 @@ def evaluate_points(
     points: np.ndarray,
     configurations: Sequence[ClusterConfiguration] | None = None,
     codebook: Codebook | None = None,
-    sensitivity_dbm: float = SENSITIVITY_DBM,
-    pathloss: PathlossModel | None = None,
     shadowing: ShadowingField | None = None,
 ) -> GridResult:
     """Proximity-set size and best SINR at explicit receiver locations."""
     if configurations is None or codebook is None:
         configurations, codebook = build_cluster_configurations(dep)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rx = received_powers_dbm(dep, pts, pathloss, shadowing)
+    rx = received_powers_dbm(dep, pts, shadowing=shadowing)
     counts = np.zeros(len(pts), dtype=int)
     for i in range(len(pts)):
-        obs = decodable_fields(rx[i], configurations, dep.cell_ids, sensitivity_dbm)
+        obs = decodable_fields(rx[i], configurations, dep.cell_ids)
         counts[i] = len(estimate_proximity(obs, codebook))
     return GridResult(pts, counts, best_sinr_db(rx))
 
@@ -375,10 +365,8 @@ def grid_evaluate(
     dep: Deployment,
     grid_step_m: float = 2.0,
     side_m: float = 140.0,
-    sensitivity_dbm: float = SENSITIVITY_DBM,
     shadowing_sigma_db: float = 0.0,
     rng: np.random.Generator | None = None,
-    pathloss: PathlossModel | None = None,
 ) -> GridResult:
     """Regular-grid proximity heatmap over a square centered on the lattice.
 
@@ -397,10 +385,7 @@ def grid_evaluate(
             (-half, half, -half, half),
             rng=rng,
         )
-    return evaluate_points(
-        dep, points, sensitivity_dbm=sensitivity_dbm,
-        pathloss=pathloss, shadowing=shadowing,
-    )
+    return evaluate_points(dep, points, shadowing=shadowing)
 
 
 def full_stack_check(
@@ -409,19 +394,16 @@ def full_stack_check(
     scheme: CodingScheme | None = None,
     csat: CsatConfig | None = None,
     network_id: int = 0x0A000001,
-    sensitivity_dbm: float = SENSITIVITY_DBM,
-    pathloss: PathlossModel | None = None,
 ) -> list[dict]:
     """Cross-check the threshold model against the real receiver chain.
 
     Every station transmits its own frame (shared network ID, its six
     per-slot cluster IDs) on a time-aligned duty cycle; the receiver's ED
-    threshold is set to the sensitivity so audibility matches the model.
+    threshold is set to SENSITIVITY_DBM so audibility matches the model.
     Returns one record per point with both observations and a match flag.
     """
     scheme = scheme or get_scheme("wide20")
     csat = csat or CsatConfig(40, 20)
-    pathloss = pathloss or PathlossModel()
     configurations, codebook = build_cluster_configurations(dep)
     cluster_ids = {
         bs.cell_id: [c.cluster_of(bs.cell_id) for c in configurations]
@@ -436,14 +418,13 @@ def full_stack_check(
     config = ReceiverConfig(scheme, csat)
     results = []
     for point in np.atleast_2d(np.asarray(points, dtype=float)):
-        rx = received_powers_dbm(dep, point[None, :], pathloss)[0]
-        analytic = decodable_fields(rx, configurations, dep.cell_ids, sensitivity_dbm)
+        rx = received_powers_dbm(dep, point[None, :])[0]
+        analytic = decodable_fields(rx, configurations, dep.cell_ids)
         links = [
             RadioLink(
                 distance_m=max(float(np.hypot(bs.x_m - point[0], bs.y_m - point[1])), 1e-3),
                 tx_power_dbm=bs.tx_power_dbm,
-                pathloss=pathloss,
-                ed_threshold_dbm=sensitivity_dbm,
+                ed_threshold_dbm=SENSITIVITY_DBM,
             )
             for bs in dep.stations
         ]

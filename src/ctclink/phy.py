@@ -27,6 +27,8 @@ from .radio import RadioLink
 
 RESOLUTION_US = 50
 WINDOW_US = 250
+# WiFi contention gap before each saturated launch, drawn uniformly
+CONTENTION_GAP_US = (50.0, 200.0)
 CYCLE_CHOICES = (40, 80, 160)
 # a >=2 ms puncture is required within every 20 ms of ON time
 MAX_ON_RUN_MS = 20
@@ -63,7 +65,6 @@ class Waveform:
     nominal ON phase mask that carrier-sensing WiFi senders react to.
     """
 
-    resolution_us: int
     csat: CsatConfig
     tx: np.ndarray
     envelope: np.ndarray
@@ -74,16 +75,12 @@ class Waveform:
         return len(self.tx)
 
     @property
-    def duration_us(self) -> int:
-        return self.n_ticks * self.resolution_us
-
-    @property
     def n_cycles(self) -> int:
-        return self.n_ticks // (self.csat.cycle_ms * 1000 // self.resolution_us)
+        return self.n_ticks // (self.csat.cycle_ms * 1000 // RESOLUTION_US)
 
     def measured_duty(self) -> float:
         """Envelope duty over the whole cycles contained in the waveform."""
-        cyc = self.csat.cycle_ms * 1000 // self.resolution_us
+        cyc = self.csat.cycle_ms * 1000 // RESOLUTION_US
         whole = self.n_cycles * cyc
         return float(self.envelope[:whole].mean())
 
@@ -91,7 +88,6 @@ class Waveform:
         """Same waveform preceded by silence, for start-offset experiments."""
         pad = np.zeros(n_ticks, dtype=bool)
         return Waveform(
-            self.resolution_us,
             self.csat,
             np.concatenate([pad, self.tx]),
             np.concatenate([pad, self.envelope]),
@@ -100,7 +96,7 @@ class Waveform:
 
     def validate(self) -> None:
         """Check the coexistence constraint: no TX run longer than 20 ms."""
-        limit = MAX_ON_RUN_MS * 1000 // self.resolution_us
+        limit = MAX_ON_RUN_MS * 1000 // RESOLUTION_US
         padded = np.concatenate([[0], self.tx.astype(np.int8), [0]])
         edges = np.flatnonzero(np.diff(padded))
         runs = edges[1::2] - edges[::2]
@@ -124,7 +120,6 @@ def generate_waveform(
     csat: CsatConfig,
     symbols: Sequence[PunctureSchedule],
     n_cycles: int | None = None,
-    resolution_us: int = RESOLUTION_US,
 ) -> Waveform:
     """Lay symbols head-to-tail into consecutive ON phases.
 
@@ -133,7 +128,7 @@ def generate_waveform(
     time after the symbols (and symbol-free cycles) transmits plainly
     with a 2 ms safety gap after every 18 ms so no run exceeds 20 ms.
     """
-    per_ms = 1000 // resolution_us
+    per_ms = 1000 // RESOLUTION_US
     cycle_ticks = csat.cycle_ms * per_ms
     on_ticks = round(csat.on_ms * per_ms)
 
@@ -195,7 +190,7 @@ def generate_waveform(
             pos += budget + gap
             carry = 0
 
-    return Waveform(resolution_us, csat, tx, envelope, symbol_starts)
+    return Waveform(csat, tx, envelope, symbol_starts)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +283,6 @@ def poisson_traffic(
     frame_us: float,
     kind: str,
     rng: np.random.Generator,
-    resolution_us: int = RESOLUTION_US,
 ) -> TrafficTrace:
     """Open-loop arrivals: frames queue behind each other and defer to the
     sender's busy mask, then run to completion once started.
@@ -300,8 +294,8 @@ def poisson_traffic(
     integers call (the arrival ticks), in that order.
     """
     n_ticks = len(lte_envelope)
-    frame_ticks = max(1, round(frame_us / resolution_us))
-    duration_s = n_ticks * resolution_us / 1e6
+    frame_ticks = max(1, round(frame_us / RESOLUTION_US))
+    duration_s = n_ticks * RESOLUTION_US / 1e6
     n_frames = rng.poisson(rate_fps * duration_s)
     arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
     busy_starts, busy_ends = _runs(busy_mask)
@@ -332,15 +326,13 @@ def saturated_traffic(
     kind: str,
     rng: np.random.Generator,
     straddle_prob: float = 0.0,
-    gap_us: tuple[float, float] = (50.0, 200.0),
-    resolution_us: int = RESOLUTION_US,
 ) -> TrafficTrace:
     """Backlogged sender: fills every idle run with frames separated by
-    contention gaps.  frame_us may be a (low, high) range, drawn per
-    launch, for senders whose aggregated burst length varies.  With
-    probability straddle_prob the frame that no longer fits an idle run
-    is launched anyway and overruns into the LTE ON phase, which models
-    imperfect carrier sensing at the run boundary.
+    contention gaps drawn from CONTENTION_GAP_US.  frame_us may be a
+    (low, high) range, drawn per launch, for senders whose aggregated burst
+    length varies.  With probability straddle_prob the frame that no longer
+    fits an idle run is launched anyway and overruns into the LTE ON phase,
+    which models imperfect carrier sensing at the run boundary.
 
     The idle runs are walked in order.  Each launch draws a uniform gap,
     then a uniform frame length (range frame_us only); a frame that does
@@ -351,14 +343,13 @@ def saturated_traffic(
     used.
     """
     ranged = isinstance(frame_us, tuple)
-    for lo, hi in (gap_us, frame_us) if ranged else (gap_us,):
-        if not lo <= hi:
-            raise ValueError(f"range ({lo}, {hi}) must have low <= high")
-    gap_lo, gap_span = float(gap_us[0]), float(gap_us[1]) - float(gap_us[0])
+    gap_lo, gap_span = CONTENTION_GAP_US[0], CONTENTION_GAP_US[1] - CONTENTION_GAP_US[0]
     if ranged:
+        if not frame_us[0] <= frame_us[1]:
+            raise ValueError(f"range {frame_us} must have low <= high")
         frame_lo, frame_span = float(frame_us[0]), float(frame_us[1]) - float(frame_us[0])
     else:
-        fixed_ticks = max(1, round(frame_us / resolution_us))
+        fixed_ticks = max(1, round(frame_us / RESOLUTION_US))
     saved = rng.bit_generator.state
     doubles = _doubles(rng)
     used = 0
@@ -367,12 +358,12 @@ def saturated_traffic(
     for run_start, run_end in zip(*_runs(~busy_mask)):
         pos = run_start
         while pos < run_end:
-            pos += max(1, round((gap_lo + gap_span * next(doubles)) / resolution_us))
+            pos += max(1, round((gap_lo + gap_span * next(doubles)) / RESOLUTION_US))
             used += 1
             if pos >= run_end:
                 break
             if ranged:
-                frame_ticks = max(1, round((frame_lo + frame_span * next(doubles)) / resolution_us))
+                frame_ticks = max(1, round((frame_lo + frame_span * next(doubles)) / RESOLUTION_US))
                 used += 1
             else:
                 frame_ticks = fixed_ticks
@@ -446,7 +437,6 @@ def sample_mac_states(
     waveforms: Waveform | Sequence[Waveform],
     links: RadioLink | Sequence[RadioLink],
     traffic: TrafficTrace | None = None,
-    window_us: int = WINDOW_US,
     ed_noise_sigma_db: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> MacStateSeries:
@@ -456,9 +446,10 @@ def sample_mac_states(
     when any transmitting source's instantaneous receive power (mean plus
     optional fast measurement noise) reaches that link's ED threshold.
 
-    Only whole windows are sampled: trailing ticks that do not fill one
-    window are dropped, so the series covers ``n_ticks // ticks_per_window``
-    windows.
+    Ticks are RESOLUTION_US long and each fraction covers one window of
+    WINDOW_US.  Only whole windows are sampled: trailing ticks that do not
+    fill one window are dropped, so the series covers
+    ``n_ticks // (WINDOW_US // RESOLUTION_US)`` windows.
     """
     if isinstance(waveforms, Waveform):
         waveforms = [waveforms]
@@ -466,15 +457,10 @@ def sample_mac_states(
         links = [links]
     if len(waveforms) != len(links):
         raise ValueError("need exactly one RadioLink per waveform")
-    resolution = waveforms[0].resolution_us
-    if window_us % resolution:
-        raise ValueError("window must be a multiple of the simulation resolution")
     n_ticks = max(w.n_ticks for w in waveforms)
 
     detect = np.zeros(n_ticks, dtype=bool)
     for wave, link in zip(waveforms, links):
-        if wave.resolution_us != resolution:
-            raise ValueError("all waveforms must share one resolution")
         on = np.zeros(n_ticks, dtype=bool)
         on[:wave.n_ticks] = wave.tx
         level = link.mean_rx_dbm()
@@ -502,13 +488,13 @@ def sample_mac_states(
     intf = ~tx & ~rx & (detect | traffic.rx_unlocked)
     idle = ~tx & ~rx & ~intf
 
-    per_win = window_us // resolution
+    per_win = WINDOW_US // RESOLUTION_US
     n_win = n_ticks // per_win
     cut = n_win * per_win
 
     def frac(mask: np.ndarray) -> np.ndarray:
         return mask[:cut].reshape(n_win, per_win).mean(axis=1)
 
-    series = MacStateSeries(window_us, frac(idle), frac(rx), frac(tx), frac(intf))
+    series = MacStateSeries(WINDOW_US, frac(idle), frac(rx), frac(tx), frac(intf))
     series.validate()
     return series

@@ -1,7 +1,7 @@
 """Radio propagation: log-distance pathloss, correlated shadowing, the
-energy-detection register map, and SINR helpers.
+energy-detection register map, and the dBm-to-milliwatt conversion.
 
-Power bookkeeping is in dBm throughout; SINR combines in linear milliwatt
+Power bookkeeping is in dBm throughout; powers add in linear milliwatt
 space.  The ED register map is anchored at measured calibration points and
 interpolated piecewise between them, because the three anchors do not lie
 on one line.
@@ -22,18 +22,18 @@ DEFAULT_TX_POWER_DBM = 20.0
 
 # register -> dBm calibration anchors of the modeled NIC
 ED_REGISTER_ANCHORS: dict[int, float] = {3: -92.0, 23: -77.0, 28: -62.0}
+# distance at which shadowing decorrelates to 1/e
+SHADOWING_DECORRELATION_M = 10.0
 
 
-def map_ed_register(theta: int, anchors: dict[int, float] | None = None) -> float:
+def map_ed_register(theta: int) -> float:
     """ED threshold in dBm for register value ``theta``.
 
-    Piecewise-affine between the calibration anchors; each segment is
+    Piecewise-affine between the ED_REGISTER_ANCHORS; each segment is
     dBm = a*theta + b.  Values outside the anchored domain are a
     configuration error.
     """
-    table = sorted((anchors or ED_REGISTER_ANCHORS).items())
-    if len(table) < 2:
-        raise ValueError("need at least two calibration anchors")
+    table = sorted(ED_REGISTER_ANCHORS.items())
     regs = [t for t, _ in table]
     if not regs[0] <= theta <= regs[-1]:
         raise ValueError(f"register {theta} outside calibrated domain [{regs[0]}, {regs[-1]}]")
@@ -50,13 +50,10 @@ class PathlossModel:
 
     Defaults give a -77 dBm decode radius of about 41 m from a 20 dBm
     transmitter, which reproduces the desk-scale multicell geometry.
-    alpha is accepted for config compatibility with per-meter indoor
-    attenuation figures but does not enter the loss.
     """
 
     ref_loss_db: float = 46.4  # loss at 1 m, roughly free space at 5.2 GHz
     exponent: float = 3.13
-    alpha: float | None = None
 
     def loss_db(self, distance_m):
         d = np.asarray(distance_m, dtype=float)
@@ -77,8 +74,6 @@ class RadioLink:
     distance_m: float
     tx_power_dbm: float = DEFAULT_TX_POWER_DBM
     pathloss: PathlossModel = field(default_factory=PathlossModel)
-    shadowing_sigma_db: float = 0.0
-    noise_floor_dbm: float = NOISE_FLOOR_DBM
     ed_threshold_dbm: float | None = None
     ed_register: int | None = None
 
@@ -89,15 +84,6 @@ class RadioLink:
 
     def mean_rx_dbm(self) -> float:
         return self.tx_power_dbm - self.pathloss.loss_db(self.distance_m)
-
-    def received_power_dbm(self, rng: np.random.Generator | None = None) -> float:
-        """One realization: mean receive power plus a shadowing draw."""
-        shadow = 0.0
-        if self.shadowing_sigma_db > 0:
-            if rng is None:
-                raise ValueError("shadowing draw needs a random generator")
-            shadow = float(rng.normal(0.0, self.shadowing_sigma_db))
-        return self.mean_rx_dbm() - shadow
 
     @classmethod
     def at_rx_power(cls, rx_dbm: float, **kwargs) -> "RadioLink":
@@ -117,25 +103,13 @@ def dbm_to_mw(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
 
 
-def sinr_linear(p_rx_dbm: float, interferer_dbm, noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
-    """SINR of one source over noise plus co-channel interference.
-
-    With no interferers this reduces to P_RX / noise exactly.
-    """
-    interference = float(np.sum(dbm_to_mw(interferer_dbm))) if len(interferer_dbm) else 0.0
-    return float(dbm_to_mw(p_rx_dbm) / (dbm_to_mw(noise_floor_dbm) + interference))
-
-
-def sinr_db(p_rx_dbm: float, interferer_dbm, noise_floor_dbm: float = NOISE_FLOOR_DBM) -> float:
-    return 10.0 * float(np.log10(sinr_linear(p_rx_dbm, interferer_dbm, noise_floor_dbm)))
-
-
 class ShadowingField:
     """Spatially correlated log-normal shadowing, one layer per source.
 
     Anchor values are drawn with exponential (Gudmundson) correlation
-    exp(-d / decorrelation_m) on a coarse grid and interpolated bilinearly,
-    so all evaluations within one run share a consistent field.
+    exp(-d / SHADOWING_DECORRELATION_M) on a grid of half that spacing and
+    interpolated bilinearly, so all evaluations within one run share a
+    consistent field.
     """
 
     def __init__(
@@ -143,16 +117,13 @@ class ShadowingField:
         sigma_db: float,
         n_sources: int,
         bounds: tuple[float, float, float, float],
-        decorrelation_m: float = 10.0,
         rng: np.random.Generator | None = None,
-        anchor_step_m: float | None = None,
     ) -> None:
         if sigma_db < 0:
             raise ValueError("sigma must be non-negative")
         self.sigma_db = sigma_db
-        self.decorrelation_m = decorrelation_m
         xmin, xmax, ymin, ymax = bounds
-        step = anchor_step_m if anchor_step_m is not None else decorrelation_m / 2.0
+        step = SHADOWING_DECORRELATION_M / 2.0
         self._xs = np.arange(xmin - step, xmax + 2 * step, step)
         self._ys = np.arange(ymin - step, ymax + 2 * step, step)
         nx, ny = len(self._xs), len(self._ys)
@@ -163,7 +134,7 @@ class ShadowingField:
             raise ValueError("correlated field needs a random generator")
         gx, gy = np.meshgrid(self._xs, self._ys, indexing="ij")
         coords = np.column_stack([gx.ravel(), gy.ravel()])
-        cov = sigma_db**2 * np.exp(-cdist(coords, coords) / decorrelation_m)
+        cov = sigma_db**2 * np.exp(-cdist(coords, coords) / SHADOWING_DECORRELATION_M)
         cov[np.diag_indices_from(cov)] += 1e-9  # numerical jitter for the factorization
         chol = np.linalg.cholesky(cov)
         draws = chol @ rng.standard_normal((len(coords), n_sources))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 
+import hashlib
 import json
 import threading
 import time
@@ -113,6 +114,31 @@ class TestAnalyticsCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "cycle_ms,duty,k,rate_bps,wifi_airtime"
         assert "peak rate 750" in capsys.readouterr().out
+
+
+class TestGoldenOutputs:
+    """Seeded outputs byte for byte, as sha256 digests.
+
+    The inputs keep the digests independent of the BLAS build and the CPU:
+    no shadowing field (no Cholesky factorization), receive powers more
+    than 8 sigma of ED noise from the -62 dBm threshold (no noise drawn),
+    and a clear channel (no tied template decisions).
+    """
+
+    @pytest.mark.parametrize("argv, output, digest", [
+        (["analytics", "--out", "out.csv"], "out.csv",
+         "67a4a14a87519b84435e260efb7d6703b56b11a56ddc54ebd1264ee1dafcc447"),
+        (["link-sweep", "--scenario", "clear", "--powers=-70,-56", "--repetitions", "1",
+          "--frames", "4", "--seed", "7", "--out", "out.csv"], "out.csv",
+         "222d14b17522af4d4cb8ad0e9cec446927515b624393ca42e3ed95f13681af6e"),
+        (["multicell", "--stations", "19", "--sigmas", "0", "--step", "10", "--seed", "3",
+          "--out-prefix", "out"], "out_summary.csv",
+         "cdc372a18e352c3b35625960d0bcd3207d0d26ca923e2a8ebf3490315fbd915a"),
+    ], ids=["analytics", "link-sweep", "multicell-summary"])
+    def test_output_digest(self, tmp_path, monkeypatch, argv, output, digest):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 0
+        assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest
 
 
 class TestX2Commands:

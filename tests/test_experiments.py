@@ -12,7 +12,6 @@ from ctclink.experiments import (
     align_to_schedule,
     default_power_sweep,
     knee_metrics,
-    run_analytics,
     run_ed_sweep,
     run_link_sweep,
     run_multicell,
@@ -20,7 +19,8 @@ from ctclink.experiments import (
     scenario_traffic,
     wilson_interval,
 )
-from ctclink.codec import get_scheme
+from ctclink.analytics import rate_airtime_table
+from ctclink.codec import default_schemes, encode_symbol, get_scheme, preamble_schedules
 from ctclink.demod import ReceiverConfig, demodulate
 from ctclink.phy import CsatConfig, generate_waveform, sample_mac_states
 from ctclink.codec import build_frame
@@ -57,10 +57,32 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="one symbol per ON phase"):
             ExperimentSpec(cycle_ms=80, on_ms=40)
 
+    def test_on_phase_shorter_than_one_symbol_rejected(self):
+        # wide20 data symbols end without a puncture: a 20 ms transmit span
+        with pytest.raises(ValueError, match="shorter than the 20 ms transmit span"):
+            ExperimentSpec(cycle_ms=80, on_ms=19)
+
     @pytest.mark.parametrize("cycle_ms, on_ms, scheme", [(40, 20, "wide20"), (80, 19, "short12")])
     def test_one_symbol_per_on_phase_accepted(self, cycle_ms, on_ms, scheme):
         spec = ExperimentSpec(cycle_ms=cycle_ms, on_ms=on_ms, scheme=scheme)
         assert spec.csat == CsatConfig(cycle_ms, on_ms)
+
+    @pytest.mark.parametrize("name", sorted(default_schemes()))
+    def test_span_bounds_reached_by_schedules(self, name):
+        # the bounds require_one_symbol_per_on assumes, against every
+        # schedule the scheme transmits: all data symbols and the preamble
+        scheme = default_schemes()[name]
+        schedules = [encode_symbol(v, scheme) for v in range(scheme.alphabet_size)]
+        spans = set()
+        for sched in schedules + list(preamble_schedules(scheme)):
+            end = scheme.symbol_ms
+            while end - 1 in sched.positions:
+                end -= 1
+            spans.add(end)
+        tail = scheme.style == "tail"
+        assert max(spans) == scheme.symbol_ms - (scheme.mandatory_ms if tail else 0)
+        assert min(spans) == (scheme.symbol_ms - scheme.mandatory_ms
+                              - (scheme.extra_punctures if tail else 0))
 
     def test_default_sweep_centers_on_register(self):
         powers = default_power_sweep(28, span_db=2.0, step_db=1.0)
@@ -327,6 +349,6 @@ class TestMulticellRun:
 
 class TestAnalyticsRun:
     def test_table_dimensions(self):
-        points = run_analytics(ks=range(0, 3), duties=(0.2, 0.5), cycles_ms=(40.0,))
+        points = rate_airtime_table(ks=range(0, 3), duties=(0.2, 0.5), cycles_ms=(40.0,))
         assert len(points) == 3 * 2 * 1
         assert {p.cycle_ms for p in points} == {40.0}

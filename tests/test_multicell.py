@@ -11,6 +11,7 @@ from ctclink.multicell import (
     CodebookLookupError,
     Deployment,
     UnsupportedTopologyError,
+    best_sinr_db,
     build_cluster_configurations,
     build_hex_deployment,
     decodable_fields,
@@ -21,7 +22,7 @@ from ctclink.multicell import (
     grid_evaluate,
     observation_at,
 )
-from ctclink.radio import SENSITIVITY_DBM
+from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM
 
 
 def mutually_adjacent_triples(dep):
@@ -228,10 +229,17 @@ class TestGridEvaluation:
     def test_sinr_reduces_to_snr_without_interferers(self):
         dep = build_hex_deployment(1)
         result = evaluate_points(dep, [(10.0, 0.0)])
-        from ctclink.radio import NOISE_FLOOR_DBM, PathlossModel
+        from ctclink.radio import PathlossModel
 
         rx = 20.0 - PathlossModel().loss_db(10.0)
         assert result.sinr_db_best[0] == pytest.approx(rx - NOISE_FLOOR_DBM)
+
+    def test_interference_lowers_sinr(self):
+        # -70 dBm against co-channel -75 and -80 dBm over the -95 dBm floor
+        sinr = best_sinr_db(np.array([[-70.0, -75.0, -80.0]]))[0]
+        expect = 10 ** (-7.0) / (10 ** (-9.5) + 10 ** (-7.5) + 10 ** (-8.0))
+        assert sinr == pytest.approx(10.0 * math.log10(expect))
+        assert sinr < -70.0 - NOISE_FLOOR_DBM
 
     def test_clear_sky_histogram(self):
         dep = build_hex_deployment(100)

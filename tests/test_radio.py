@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ctclink.radio import (
-    NOISE_FLOOR_DBM,
-    PathlossModel,
-    RadioLink,
-    ShadowingField,
-    map_ed_register,
-    sinr_db,
-    sinr_linear,
-)
+from ctclink.radio import PathlossModel, RadioLink, ShadowingField, map_ed_register
 
 
 class TestPathloss:
@@ -35,18 +27,6 @@ class TestPathloss:
         assert link.mean_rx_dbm() == pytest.approx(-77.0)
         # decode radius sits inside the multicell geometry window
         assert 28.9 < link.distance_m < 43.3
-
-    def test_shadowing_statistics(self):
-        rng = np.random.default_rng(7)
-        link = RadioLink(distance_m=10.0, shadowing_sigma_db=6.0)
-        draws = np.array([link.received_power_dbm(rng) for _ in range(100_000)])
-        assert abs(draws.std() - 6.0) / 6.0 < 0.05
-        assert draws.mean() == pytest.approx(link.mean_rx_dbm(), abs=0.1)
-
-    def test_shadowing_requires_rng(self):
-        link = RadioLink(distance_m=10.0, shadowing_sigma_db=6.0)
-        with pytest.raises(ValueError):
-            link.received_power_dbm()
 
 
 class TestEdRegisterMap:
@@ -71,18 +51,6 @@ class TestEdRegisterMap:
         assert link.ed_threshold_dbm == -92.0
         default = RadioLink(distance_m=5.0)
         assert default.ed_threshold_dbm == -62.0
-
-
-class TestSinr:
-    def test_no_interferers_reduces_to_snr(self):
-        assert sinr_db(-77.0, []) == pytest.approx(-77.0 - NOISE_FLOOR_DBM)
-
-    def test_interference_lowers_sinr(self):
-        alone = sinr_linear(-70.0, [])
-        with_cci = sinr_linear(-70.0, [-75.0, -80.0])
-        assert with_cci < alone
-        expect = 10 ** (-7.0) / (10 ** (-9.5) + 10 ** (-7.5) + 10 ** (-8.0))
-        assert with_cci == pytest.approx(expect)
 
 
 class TestShadowingField:
