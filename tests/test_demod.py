@@ -552,3 +552,20 @@ class TestReport:
         first = lines[1].split(",")
         assert first[0] == "0" and first[2] == "1111111"
         assert lines[2].split(",") == ["1", "7", "-", "a0"]
+
+    def test_csv_text_of_hand_built_frames(self, tmp_path):
+        from ctclink.codec import CtcFrame
+        from ctclink.demod import DecodedFrame
+
+        ok = CtcFrame(0x0A000001, True, CLUSTERS, (True, False, True, True, True, False))
+        frames = [
+            DecodedFrame((5, 1, 7), 123, 2.25, True, ok, b"\x01\xab", 16),
+            DecodedFrame((3,), 4096, 0.5, False, None, b"", 0),
+        ]
+        path = tmp_path / "frames.csv"
+        frames_to_csv(frames, str(path))
+        assert path.read_text() == (
+            "frame_idx,sync_t,fields_ok,bits_hex\n"
+            "0,123,1101110,01ab\n"
+            "1,4096,-,\n"
+        )

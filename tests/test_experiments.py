@@ -8,7 +8,9 @@ import pytest
 
 from ctclink.experiments import (
     DEFAULT_ED_NOISE_SIGMA_DB,
+    EdSweepResult,
     ExperimentSpec,
+    KneeSummary,
     align_to_schedule,
     default_power_sweep,
     knee_metrics,
@@ -17,6 +19,8 @@ from ctclink.experiments import (
     run_multicell,
     run_stream,
     scenario_traffic,
+    SweepPoint,
+    SweepResult,
     wilson_interval,
 )
 from ctclink.analytics import rate_airtime_table
@@ -317,6 +321,39 @@ class TestEdSweep:
         knee_lines = knees_csv.read_text().strip().splitlines()
         assert knee_lines[0] == "theta,theta_dbm,knee_dbm,drop_dbm,width_db"
         assert knee_lines[1].startswith("28,-62,")
+
+    def test_csv_text_of_hand_built_result(self, tmp_path):
+        # sweeps are written in register order, whatever the dict order
+        spec = ExperimentSpec(powers_dbm=(-62.5,))
+        sweeps = {
+            28: SweepResult(spec, [
+                SweepPoint("clear", 28, -62.5, 0.25, 0.0312344, 0.1, 0.5, 8),
+                SweepPoint("clear", 28, -60.0, 0.0, 0.0, 0.0, 0.3243711, 8),
+            ]),
+            3: SweepResult(spec, [
+                SweepPoint("apdl-high", 3, -92.25, 1.0, 0.5, 0.6756289, 1.0, 8),
+            ]),
+        }
+        knees = [
+            KneeSummary(3, -92.0, -91.5, -92.5, 1.0),
+            KneeSummary(28, -62.0, math.nan, math.nan, math.nan),
+        ]
+        result = EdSweepResult(sweeps, knees)
+        sweep_csv = tmp_path / "ed.csv"
+        knees_csv = tmp_path / "knees.csv"
+        result.to_csv(str(sweep_csv))
+        result.knees_to_csv(str(knees_csv))
+        assert sweep_csv.read_text() == (
+            "scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames\n"
+            "apdl-high,3,-92.25,1.000000,0.500000,0.675629,1.000000,8\n"
+            "clear,28,-62.5,0.250000,0.031234,0.100000,0.500000,8\n"
+            "clear,28,-60,0.000000,0.000000,0.000000,0.324371,8\n"
+        )
+        assert knees_csv.read_text() == (
+            "theta,theta_dbm,knee_dbm,drop_dbm,width_db\n"
+            "3,-92,-91.5,-92.5,1\n"
+            "28,-62,nan,nan,nan\n"
+        )
 
 
 class TestMulticellRun:

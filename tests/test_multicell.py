@@ -10,6 +10,7 @@ from ctclink.multicell import (
     Codebook,
     CodebookLookupError,
     Deployment,
+    GridResult,
     UnsupportedTopologyError,
     best_sinr_db,
     build_cluster_configurations,
@@ -305,6 +306,21 @@ class TestGridEvaluation:
         assert lines[0] == "x_m,y_m,n_detected,sinr_db_best"
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "7"
+
+    def test_csv_text_with_numpy_ints(self, tmp_path):
+        result = GridResult(
+            np.array([[0.0, 0.0], [25.0, -4.335], [-70.0, 1e-3]]),
+            np.array([7, 0, 12], dtype=np.int64),
+            np.array([12.3456, -3.21, math.inf]),
+        )
+        path = tmp_path / "grid.csv"
+        result.to_csv(str(path))
+        assert path.read_text() == (
+            "x_m,y_m,n_detected,sinr_db_best\n"
+            "0.00,0.00,7,12.346\n"
+            "25.00,-4.33,0,-3.210\n"
+            "-70.00,0.00,12,inf\n"
+        )
 
 
 class TestFullStack:

@@ -189,6 +189,23 @@ class TestSampler:
         assert np.allclose(back.intf, series.intf, atol=1e-6)
         assert np.allclose(back.idle, series.idle, atol=1e-6)
 
+    def test_csv_text(self, tmp_path):
+        series = MacStateSeries(
+            250,
+            idle=np.array([1.0, 0.2, 0.0]),
+            rx=np.array([0.0, 0.4, 0.0]),
+            tx=np.array([0.0, 0.0, 1.0 / 3.0]),
+            intf=np.array([0.0, 0.4, 2.0 / 3.0]),
+        )
+        path = tmp_path / "mac.csv"
+        series.to_csv(str(path))
+        assert path.read_text() == (
+            "t_us,idle,rx,tx,intf\n"
+            "0,1.000000,0.000000,0.000000,0.000000\n"
+            "250,0.200000,0.400000,0.000000,0.400000\n"
+            "500,0.000000,0.000000,0.333333,0.666667\n"
+        )
+
 
 class TestTraffic:
     def make_wave(self, cycles=10):
