@@ -1,14 +1,15 @@
 """Closed-form throughput and WiFi-airtime analysis of the side channel.
 
-All quantities follow from three ingredients: how many whole 20 ms symbols
-fit into an ON phase, how many bits one symbol carries (puncture-position
-combinatorics over the 18 movable slots), and the worst-case airtime a
-WiFi sender can extract from the OFF phase plus the punctures.
+All quantities follow from three ingredients: how many whole symbols of
+the registry's multi20 schemes fit into an ON phase, how many bits one
+symbol carries (puncture-position combinatorics over the scheme's movable
+1 ms slots, k of them punctured), and the worst-case airtime a WiFi
+sender can extract from the OFF phase plus the punctures.
 
-Symbols are laid head to tail; a symbol fits while its 18 ms transmit
-span ends inside the ON phase, so the trailing 2 ms mandatory gap of the
-last symbol may overhang into the OFF phase.  That makes the symbol count
-floor((T_on + 2 ms) / 20 ms) and requires an overhang correction in the
+Symbols are laid head to tail; a symbol fits while its transmit span ends
+inside the ON phase, so the mandatory tail gap of the last symbol may
+overhang into the OFF phase.  That makes the symbol count
+floor((T_on + gap) / symbol) and requires an overhang correction in the
 airtime balance so that usable airtime, LTE payload time, and guard loss
 add up to exactly one cycle.
 """
@@ -18,13 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .codec import modulation_capacity
+from ._csv import write_csv
+from .codec import get_scheme, modulation_capacity
 
-SYMBOL_MS = 20.0
-MANDATORY_GAP_MS = 2.0
+# every multi20-kN shares the symbol geometry; only the puncture count differs
+_MULTI20 = get_scheme("multi20-k1")
+SYMBOL_MS = float(_MULTI20.symbol_ms)
+MANDATORY_GAP_MS = float(_MULTI20.mandatory_ms)
+CANDIDATE_SLOTS = _MULTI20.n_positions
 EXTRA_PUNCTURE_MS = 1.0
 GUARD_MS = 0.384  # WiFi slot+DIFS+preamble overhead lost per puncture
-CANDIDATE_SLOTS = 18
 
 
 def _validate(cycle_ms: float, duty: float, k: int) -> None:
@@ -58,7 +62,7 @@ def ctc_data_rate(cycle_ms: float, duty: float, k: int) -> float:
 
 
 def peak_rate_bps(k: int = 9) -> float:
-    """Formula ceiling: symbols back to back, one per 20 ms."""
+    """Formula ceiling: symbols back to back, one per SYMBOL_MS."""
     return bits_per_symbol(k) * 1000.0 / SYMBOL_MS
 
 
@@ -129,10 +133,8 @@ def rate_airtime_table(
 
 
 def table_to_csv(points: Sequence[AnalyticsPoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("cycle_ms,duty,k,rate_bps,wifi_airtime\n")
-        for p in points:
-            fh.write(
-                f"{p.cycle_ms:g},{p.duty:g},{p.k_extra},"
-                f"{p.ctc_rate_bps:.4f},{p.wifi_airtime_fraction:.6f}\n"
-            )
+    write_csv(
+        path,
+        (("cycle_ms", "g"), ("duty", "g"), ("k", ""), ("rate_bps", ".4f"), ("wifi_airtime", ".6f")),
+        ((p.cycle_ms, p.duty, p.k_extra, p.ctc_rate_bps, p.wifi_airtime_fraction) for p in points),
+    )

@@ -9,12 +9,14 @@ simulation command takes --seed and emits deterministic CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 from . import analytics, x2
 from .experiments import (
+    SCENARIOS,
     ExperimentSpec,
     run_ed_sweep,
     run_link_sweep,
@@ -23,17 +25,15 @@ from .experiments import (
 from .multicell import build_cluster_configurations, build_hex_deployment
 from .x2 import X2Client, X2Error, X2Service
 
-_SPEC_KEYS = (
-    "scenario",
-    "powers_dbm",
-    "theta",
-    "seed",
-    "repetitions",
-    "frames_per_rep",
-    "scheme",
-    "cycle_ms",
-    "on_ms",
-)
+# every ExperimentSpec field, with the default that fixes its JSON type
+_SPEC_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentSpec)}
+
+
+def _json_fits(value, default) -> bool:
+    """Whether a JSON value has the type of a spec field with this default."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_json_fits(v, 0.0) for v in value)
+    return type(value) in ((int, float) if isinstance(default, float) else (type(default),))
 
 
 def _load_config(path: str | None) -> dict:
@@ -41,16 +41,21 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
-    unknown = set(config) - set(_SPEC_KEYS)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object of experiment fields")
+    unknown = set(config) - set(_SPEC_DEFAULTS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in config.items():
+        if not _json_fits(value, _SPEC_DEFAULTS[key]):
+            raise ValueError(f"{path}: config field {key!r} has the wrong type: {value!r}")
     return config
 
 
 def _build_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Defaults < --config file < explicit command-line flags."""
     fields = _load_config(args.config)
-    for key in _SPEC_KEYS:
+    for key in _SPEC_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             fields[key] = value
@@ -77,8 +82,7 @@ def _parse_address(text: str) -> tuple[str, int]:
 def _add_spec_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with experiment fields")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--scenario", choices=("clear", "background-light",
-                                               "background-high", "apdl-light", "apdl-high"))
+    parser.add_argument("--scenario", choices=SCENARIOS)
     parser.add_argument("--powers", dest="powers_dbm", type=_parse_floats,
                         help="comma-separated receive powers in dBm")
     parser.add_argument("--theta", type=int, help="energy-detection register")

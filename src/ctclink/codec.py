@@ -11,12 +11,14 @@ the synchronization preamble when no forbidden edge slots exist.
 Frames carry a 4 byte network address and six 2 byte cluster identifiers,
 each protected by its own CRC-16 so that a receiver can use every cluster
 field that survived independently of the others.
+
+The built-in schemes form a fixed registry, built once at import;
+``get_scheme`` looks a scheme up there by name.
 """
 
 from __future__ import annotations
 
 import binascii
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -37,9 +39,12 @@ class FrameLengthError(ValueError):
 # crc16(b"123456789") == 0x29B1.
 # ---------------------------------------------------------------------------
 
-def crc16(data: bytes, init: int = 0xFFFF) -> int:
+CRC_INIT = 0xFFFF
+
+
+def crc16(data: bytes) -> int:
     """CRC-16/CCITT-FALSE checksum of ``data``."""
-    return binascii.crc_hqx(data, init)
+    return binascii.crc_hqx(data, CRC_INIT)
 
 
 # ---------------------------------------------------------------------------
@@ -192,16 +197,6 @@ class CodingScheme:
     @property
     def alphabet_size(self) -> int:
         return 1 << self.bits_per_symbol
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "symbol_ms": self.symbol_ms,
-            "style": self.style,
-            "mandatory_ms": self.mandatory_ms,
-            "extra_punctures": self.extra_punctures,
-            "forbid_edges": self.forbid_edges,
-        }
 
 
 def encode_symbol(value: int, scheme: CodingScheme) -> PunctureSchedule:
@@ -438,11 +433,11 @@ def parse_frame(values: Sequence[int], scheme: CodingScheme) -> CtcFrame:
 
 
 # ---------------------------------------------------------------------------
-# Scheme registry.
+# Scheme registry: the built-in schemes, built once at import.
 # ---------------------------------------------------------------------------
 
 def default_schemes() -> dict[str, CodingScheme]:
-    """Built-in schemes.
+    """Built-in schemes, freshly built.
 
     wide20: 20 ms symbol whose 2 ms gap moves over an 8 position grid (3 bit).
     short12: 12 ms symbol, fixed tail gap, one extra puncture, 8 positions (3 bit).
@@ -458,34 +453,12 @@ def default_schemes() -> dict[str, CodingScheme]:
     return schemes
 
 
-def scheme_from_dict(spec: dict) -> CodingScheme:
-    return CodingScheme(
-        name=spec["name"],
-        symbol_ms=int(spec["symbol_ms"]),
-        style=spec["style"],
-        mandatory_ms=int(spec.get("mandatory_ms", 2)),
-        extra_punctures=int(spec.get("extra_punctures", 1)),
-        forbid_edges=bool(spec.get("forbid_edges", False)),
-    )
+_REGISTRY = default_schemes()
 
 
-def load_schemes(path: str | None = None) -> dict[str, CodingScheme]:
-    """Default registry, optionally extended or overridden from a JSON file.
-
-    The file holds a list of scheme dicts matching CodingScheme.to_dict().
-    """
-    schemes = default_schemes()
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for spec in json.load(fh):
-                scheme = scheme_from_dict(spec)
-                schemes[scheme.name] = scheme
-    return schemes
-
-
-def get_scheme(name: str, path: str | None = None) -> CodingScheme:
-    schemes = load_schemes(path)
+def get_scheme(name: str) -> CodingScheme:
+    """The registry's scheme of that name; the same object on every call."""
     try:
-        return schemes[name]
+        return _REGISTRY[name]
     except KeyError:
-        raise KeyError(f"unknown scheme {name!r}; have {sorted(schemes)}") from None
+        raise KeyError(f"unknown scheme {name!r}; have {sorted(_REGISTRY)}") from None

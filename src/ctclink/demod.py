@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import signal as sp_signal
 
+from ._csv import write_csv
 from .codec import (
     CodingScheme,
     CtcFrame,
@@ -331,9 +332,9 @@ def measure_fer_ser(
 
 
 def frames_to_csv(frames: Sequence[DecodedFrame], path: str) -> None:
-    """Decoded-frame report: frame_idx, sync_t, fields_ok, bits_hex."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame_idx,sync_t,fields_ok,bits_hex\n")
-        for i, f in enumerate(frames):
-            ok = "".join("1" if b else "0" for b in f.fields_ok) if f.fields_ok else "-"
-            fh.write(f"{i},{f.sync_t},{ok},{f.bits_hex}\n")
+    """Decoded-frame report; fields_ok is one 0/1 per field, "-" if truncated."""
+    columns = (("frame_idx", ""), ("sync_t", ""), ("fields_ok", ""), ("bits_hex", ""))
+    write_csv(path, columns, (
+        (i, f.sync_t, "".join("01"[ok] for ok in f.fields_ok) if f.fields_ok else "-", f.bits_hex)
+        for i, f in enumerate(frames)
+    ))

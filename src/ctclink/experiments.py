@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
-from .codec import CodingScheme, build_frame, get_scheme
+from ._csv import write_csv
+from .codec import N_CLUSTER_FIELDS, CodingScheme, build_frame, get_scheme
 from .demod import (
     DecodedFrame,
     Demodulator,
@@ -47,10 +48,17 @@ SATURATED_BURST_US = (1000.0, 5500.0)
 STRADDLE_PROB = 0.035
 # Fast per-tick measurement noise of the energy detector.
 DEFAULT_ED_NOISE_SIGMA_DB = 0.6
+# Default sweeps: the register's threshold +- POWER_SPAN_DB in POWER_STEP_DB steps.
+POWER_SPAN_DB = 4.0
+POWER_STEP_DB = 0.5
+# z of the 95% Wilson interval around each FER estimate.
+WILSON_Z = 1.96
+# FER levels that define a curve's knee and drop (see knee_metrics).
+KNEE_LOW_FER = 0.1
+KNEE_HIGH_FER = 0.9
 
 _NETWORK_ID_BITS = 32
 _CLUSTER_ID_BITS = 16
-_N_CLUSTERS = 6
 
 
 @dataclass(frozen=True)
@@ -91,17 +99,18 @@ class ExperimentSpec:
         return self.repetitions * self.frames_per_rep
 
 
-def default_power_sweep(theta: int, span_db: float = 4.0, step_db: float = 0.5) -> tuple[float, ...]:
+def default_power_sweep(theta: int) -> tuple[float, ...]:
     """Receive powers bracketing the register's threshold symmetrically."""
     center = map_ed_register(theta)
-    n = int(round(span_db / step_db))
-    return tuple(center + step_db * i for i in range(-n, n + 1))
+    n = int(round(POWER_SPAN_DB / POWER_STEP_DB))
+    return tuple(center + POWER_STEP_DB * i for i in range(-n, n + 1))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("need at least one trial")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -134,7 +143,7 @@ def scenario_traffic(
 
 def _random_payload(rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
     network_id = int(rng.integers(0, 1 << _NETWORK_ID_BITS))
-    clusters = tuple(int(c) for c in rng.integers(0, 1 << _CLUSTER_ID_BITS, size=_N_CLUSTERS))
+    clusters = tuple(int(c) for c in rng.integers(0, 1 << _CLUSTER_ID_BITS, size=N_CLUSTER_FIELDS))
     return network_id, clusters
 
 
@@ -172,7 +181,6 @@ def run_stream(
     scenario: str,
     n_frames: int,
     rng: np.random.Generator,
-    ed_noise_sigma_db: float = DEFAULT_ED_NOISE_SIGMA_DB,
 ) -> tuple[float, float]:
     """(FER, SER) of one continuous stream of frames with fresh traffic."""
     require_one_symbol_per_on(scheme, csat)
@@ -192,7 +200,7 @@ def run_stream(
     busy = wave.tx if sensed else np.zeros(wave.n_ticks, dtype=bool)
     traffic = scenario_traffic(scenario, wave.tx, busy, rng)
     series = sample_mac_states(
-        wave, link, traffic, ed_noise_sigma_db=ed_noise_sigma_db, rng=rng
+        wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
     )
 
     decoded = Demodulator(config)
@@ -217,14 +225,11 @@ class SweepPoint:
     n_frames: int
 
 
-def _points_to_csv(points: list[SweepPoint], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames\n")
-        for p in points:
-            fh.write(
-                f"{p.scenario},{p.theta},{p.power_dbm:g},{p.fer:.6f},{p.ser:.6f},"
-                f"{p.fer_lo:.6f},{p.fer_hi:.6f},{p.n_frames}\n"
-            )
+# one column per SweepPoint field, in field order: rows are dataclasses.astuple(point)
+_POINT_COLUMNS = (
+    ("scenario", ""), ("theta", ""), ("power_dbm", "g"), ("fer", ".6f"), ("ser", ".6f"),
+    ("fer_lo", ".6f"), ("fer_hi", ".6f"), ("n_frames", ""),
+)
 
 
 @dataclass
@@ -239,7 +244,7 @@ class SweepResult:
         )
 
     def to_csv(self, path: str) -> None:
-        _points_to_csv(self.points, path)
+        write_csv(path, _POINT_COLUMNS, map(astuple, self.points))
 
 
 def _run_point(spec: ExperimentSpec, point_index: int) -> SweepPoint:
@@ -267,10 +272,10 @@ def _run_point(spec: ExperimentSpec, point_index: int) -> SweepPoint:
     )
 
 
-def run_link_sweep(spec: ExperimentSpec, max_workers: int | None = None) -> SweepResult:
+def run_link_sweep(spec: ExperimentSpec) -> SweepResult:
     """FER/SER versus receive power; points run in parallel, output in order."""
     indices = range(len(spec.powers_dbm))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
+    with concurrent.futures.ThreadPoolExecutor() as pool:
         points = list(pool.map(lambda i: _run_point(spec, i), indices))
     return SweepResult(spec, points)
 
@@ -290,30 +295,24 @@ class EdSweepResult:
     knees: list[KneeSummary]
 
     def to_csv(self, path: str) -> None:
-        _points_to_csv(
-            [p for theta in sorted(self.sweeps) for p in self.sweeps[theta].points], path
-        )
+        points = (p for theta in sorted(self.sweeps) for p in self.sweeps[theta].points)
+        write_csv(path, _POINT_COLUMNS, map(astuple, points))
 
     def knees_to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("theta,theta_dbm,knee_dbm,drop_dbm,width_db\n")
-            for k in self.knees:
-                fh.write(
-                    f"{k.theta},{k.theta_dbm:g},{k.knee_dbm:g},{k.drop_dbm:g},{k.width_db:g}\n"
-                )
+        write_csv(
+            path,
+            (("theta", ""), ("theta_dbm", "g"), ("knee_dbm", "g"), ("drop_dbm", "g"),
+             ("width_db", "g")),
+            map(astuple, self.knees),
+        )
 
 
-def knee_metrics(
-    powers: np.ndarray,
-    fers: np.ndarray,
-    low: float = 0.1,
-    high: float = 0.9,
-) -> tuple[float, float, float]:
+def knee_metrics(powers: np.ndarray, fers: np.ndarray) -> tuple[float, float, float]:
     """(knee, drop, width) of an FER-vs-power curve.
 
-    knee: lowest power from which FER stays at or below ``low``; drop:
-    highest power below the knee where FER is still at or above ``high``.
-    NaNs when the curve never settles.
+    knee: lowest power from which FER stays at or below KNEE_LOW_FER;
+    drop: highest power below the knee where FER is still at or above
+    KNEE_HIGH_FER.  NaNs when the curve never settles.
     """
     powers = np.asarray(powers, dtype=float)
     fers = np.asarray(fers, dtype=float)
@@ -321,9 +320,9 @@ def knee_metrics(
     powers, fers = powers[order], fers[order]
     knee = math.nan
     for i in range(len(powers)):
-        if np.all(fers[i:] <= low):
+        if np.all(fers[i:] <= KNEE_LOW_FER):
             knee = float(powers[i])
-            below = powers[:i][fers[:i] >= high]
+            below = powers[:i][fers[:i] >= KNEE_HIGH_FER]
             drop = float(below[-1]) if len(below) else math.nan
             return knee, drop, (knee - drop if not math.isnan(drop) else math.nan)
     return math.nan, math.nan, math.nan
@@ -332,14 +331,13 @@ def knee_metrics(
 def run_ed_sweep(
     spec: ExperimentSpec,
     thetas: tuple[int, ...] = (3, 28),
-    max_workers: int | None = None,
 ) -> EdSweepResult:
     """Link sweep per ED register; powers re-centered on each register."""
     sweeps: dict[int, SweepResult] = {}
     knees: list[KneeSummary] = []
     for theta in thetas:
         sub = replace(spec, theta=theta, powers_dbm=default_power_sweep(theta))
-        result = run_link_sweep(sub, max_workers=max_workers)
+        result = run_link_sweep(sub)
         sweeps[theta] = result
         powers, fers = result.fer_curve()
         knee, drop, width = knee_metrics(powers, fers)
@@ -364,10 +362,11 @@ class MulticellRun:
         return rows
 
     def summary_to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("sigma_db,n_detected,n_points\n")
-            for sigma, count, n_points in self.histogram_rows():
-                fh.write(f"{sigma:g},{count},{n_points}\n")
+        write_csv(
+            path,
+            (("sigma_db", "g"), ("n_detected", ""), ("n_points", "")),
+            self.histogram_rows(),
+        )
 
 
 def run_multicell(

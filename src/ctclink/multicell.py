@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .codec import CodingScheme, N_CLUSTER_FIELDS, build_frame, get_scheme
 from .demod import ReceiverConfig, demodulate
 from .phy import CsatConfig, generate_waveform, sample_mac_states
@@ -35,7 +37,6 @@ from .radio import (
 )
 
 HEX_SPACING_M = 50.0
-N_SLOTS = 6
 
 # axial-coordinate neighbor directions, counter-clockwise
 _DIRECTIONS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
@@ -102,12 +103,10 @@ def _axial_to_xy(q: int, r: int, spacing: float) -> tuple[float, float]:
     return spacing * (q + r / 2.0), spacing * (math.sqrt(3.0) / 2.0) * r
 
 
-def build_hex_deployment(count: int, spacing_m: float = HEX_SPACING_M) -> Deployment:
-    """Lattice filled ring by ring from the center, deterministic IDs."""
+def build_hex_deployment(count: int) -> Deployment:
+    """Lattice of HEX_SPACING_M, filled ring by ring from the center, deterministic IDs."""
     if count < 1:
         raise ValueError("need at least one base station")
-    if spacing_m <= 0:
-        raise ValueError("spacing must be positive")
     coords: list[tuple[int, int]] = [(0, 0)]
     ring = 1
     while len(coords) < count:
@@ -121,10 +120,10 @@ def build_hex_deployment(count: int, spacing_m: float = HEX_SPACING_M) -> Deploy
     stations = []
     axial = {}
     for cid, (q, r) in enumerate(coords):
-        x, y = _axial_to_xy(q, r, spacing_m)
+        x, y = _axial_to_xy(q, r, HEX_SPACING_M)
         stations.append(BaseStation(cid, x, y))
         axial[cid] = (q, r)
-    return Deployment(tuple(stations), spacing_m, axial)
+    return Deployment(tuple(stations), HEX_SPACING_M, axial)
 
 
 @dataclass
@@ -134,17 +133,17 @@ class ClusterConfiguration:
     slot: int
     clusters: dict[int, tuple[int, ...]]  # cluster_id -> member cells
 
+    @cached_property
+    def _cell_to_cluster(self) -> dict[int, int]:
+        return {
+            cell: cluster_id
+            for cluster_id, members in self.clusters.items()
+            for cell in members
+        }
+
     def cluster_of(self, cell_id: int) -> int:
-        mapping = self.__dict__.get("_cell_to_cluster")
-        if mapping is None:
-            mapping = {
-                cell: cluster_id
-                for cluster_id, members in self.clusters.items()
-                for cell in members
-            }
-            self.__dict__["_cell_to_cluster"] = mapping
         try:
-            return mapping[cell_id]
+            return self._cell_to_cluster[cell_id]
         except KeyError:
             raise KeyError(f"cell {cell_id} is in no cluster of slot {self.slot}") from None
 
@@ -154,7 +153,7 @@ class Codebook:
     """Lookup from (configuration slot, cluster ID) to member cells."""
 
     entries: dict[tuple[int, int], tuple[int, ...]]
-    n_slots: int = N_SLOTS
+    n_slots: int = N_CLUSTER_FIELDS  # one slot configuration per cluster field
 
     def members(self, slot: int, cluster_id: int) -> tuple[int, ...]:
         try:
@@ -195,7 +194,7 @@ def build_cluster_configurations(
     inverse = {qr: cid for cid, qr in dep.axial.items()}
     configurations = []
     entries: dict[tuple[int, int], tuple[int, ...]] = {}
-    for slot in range(1, N_SLOTS + 1):
+    for slot in range(1, N_CLUSTER_FIELDS + 1):
         orientation = "up" if slot <= 3 else "down"
         phase = (slot - 1) % 3
         by_anchor: dict[tuple[int, int], list[int]] = {}
@@ -336,10 +335,11 @@ class GridResult:
         return {int(v): int(c) for v, c in zip(values, counts)}
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x_m,y_m,n_detected,sinr_db_best\n")
-            for (x, y), n, s in zip(self.points_m, self.n_detected, self.sinr_db_best):
-                fh.write(f"{x:.2f},{y:.2f},{n},{s:.3f}\n")
+        write_csv(
+            path,
+            (("x_m", ".2f"), ("y_m", ".2f"), ("n_detected", ""), ("sinr_db_best", ".3f")),
+            zip(self.points_m[:, 0], self.points_m[:, 1], self.n_detected, self.sinr_db_best),
+        )
 
 
 def evaluate_points(

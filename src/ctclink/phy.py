@@ -22,6 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ._csv import write_csv
 from .codec import PunctureSchedule
 from .radio import RadioLink
 
@@ -414,10 +415,11 @@ class MacStateSeries:
                 raise ValueError("fractions must lie in [0, 1]")
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t_us,idle,rx,tx,intf\n")
-            for t, i, r, x, f in zip(self.t_us, self.idle, self.rx, self.tx, self.intf):
-                fh.write(f"{t},{i:.6f},{r:.6f},{x:.6f},{f:.6f}\n")
+        write_csv(
+            path,
+            (("t_us", ""), ("idle", ".6f"), ("rx", ".6f"), ("tx", ".6f"), ("intf", ".6f")),
+            zip(self.t_us, self.idle, self.rx, self.tx, self.intf),
+        )
 
     @classmethod
     def from_csv(cls, path: str) -> "MacStateSeries":

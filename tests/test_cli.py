@@ -76,6 +76,32 @@ class TestLinkSweepCommand:
         config.write_text(json.dumps({"scenarios": ["clear"]}))
         assert run_cli("link-sweep", "--config", str(config)) == 1
 
+    @pytest.mark.parametrize("text, complaint", [
+        ("5", "must be a JSON object"),
+        ("[1, 2]", "must be a JSON object"),
+        ('{"repetitions": "2"}', "'repetitions' has the wrong type"),
+        ('{"repetitions": 2.5}', "'repetitions' has the wrong type"),
+        ('{"repetitions": true}', "'repetitions' has the wrong type"),
+        ('{"seed": "x"}', "'seed' has the wrong type"),
+        ('{"powers_dbm": [-63, "x"]}', "'powers_dbm' has the wrong type"),
+    ])
+    def test_malformed_config_fails_with_one_error_line(self, tmp_path, capsys, text, complaint):
+        config = tmp_path / "spec.json"
+        config.write_text(text)
+        assert run_cli("link-sweep", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert complaint in err
+
+    def test_config_accepts_whole_numbers_for_float_fields(self, tmp_path):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({
+            "powers_dbm": [-63, -61], "cycle_ms": 40, "on_ms": 20,
+            "repetitions": 1, "frames_per_rep": 1,
+        }))
+        assert run_cli("link-sweep", "--config", str(config),
+                       "--out", str(tmp_path / "sweep.csv")) == 0
+
     def test_invalid_scenario_fails_with_diagnostic(self, capsys):
         with pytest.raises(SystemExit):
             run_cli("link-sweep", "--scenario", "bogus")

@@ -127,10 +127,6 @@ class TestCrc16:
     def test_matches_bit_serial_register(self, data):
         assert crc16(data) == crc16_bitwise(data)
 
-    @given(st.binary(max_size=32), st.binary(max_size=32))
-    def test_init_continues_a_running_checksum(self, head, tail):
-        assert crc16(head + tail) == crc16(tail, crc16(head))
-
 
 class TestSchemes:
     def test_registry_capacities(self):
@@ -163,18 +159,6 @@ class TestSchemes:
             CodingScheme("bad", 21, "moving")
         with pytest.raises(ValueError):
             CodingScheme("bad", 20, "tail", extra_punctures=0)
-
-    def test_json_roundtrip(self, tmp_path):
-        path = tmp_path / "schemes.json"
-        custom = CodingScheme("short8", 8, "tail", extra_punctures=1, forbid_edges=True)
-        import json
-
-        path.write_text(json.dumps([custom.to_dict()]))
-        loaded = codec.load_schemes(str(path))
-        assert loaded["short8"] == custom
-        assert loaded["short8"].n_positions == 4
-        assert loaded["short8"].bits_per_symbol == 2
-        assert "wide20" in loaded
 
 
 class TestSymbolRoundtrip:

@@ -89,9 +89,11 @@ class TestExperimentSpec:
                               - (scheme.extra_punctures if tail else 0))
 
     def test_default_sweep_centers_on_register(self):
-        powers = default_power_sweep(28, span_db=2.0, step_db=1.0)
-        assert powers == (-64.0, -63.0, -62.0, -61.0, -60.0)
+        # the register's threshold +- 4 dB in 0.5 dB steps
+        powers = default_power_sweep(28)
         assert map_ed_register(28) == -62.0
+        assert powers == tuple(-66.0 + 0.5 * i for i in range(17))
+        assert powers[8] == -62.0
 
 
 class TestWilsonInterval:

@@ -46,7 +46,8 @@ class TestDeployment:
         assert (dep.stations[0].x_m, dep.stations[0].y_m) == (0.0, 0.0)
 
     def test_seven_cell_ring_geometry(self):
-        dep = build_hex_deployment(7, spacing_m=50.0)
+        dep = build_hex_deployment(7)
+        assert dep.spacing_m == 50.0
         assert dep.cell_ids == tuple(range(7))
         center = dep.stations[0]
         assert (center.x_m, center.y_m) == (0.0, 0.0)
@@ -59,7 +60,7 @@ class TestDeployment:
         assert len(dep.adjacent_pairs()) == 12
 
     def test_hundred_cell_extent_covers_grid_region(self):
-        dep = build_hex_deployment(100, spacing_m=50.0)
+        dep = build_hex_deployment(100)
         pos = dep.positions_m
         assert pos[:, 0].max() - pos[:, 0].min() >= 140.0
         assert pos[:, 1].max() - pos[:, 1].min() >= 140.0
@@ -70,8 +71,6 @@ class TestDeployment:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_hex_deployment(0)
-        with pytest.raises(ValueError):
-            build_hex_deployment(7, spacing_m=0.0)
 
 
 class TestClustering:
