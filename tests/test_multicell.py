@@ -308,7 +308,7 @@ class TestGridEvaluation:
 
     def test_csv_text_with_numpy_ints(self, tmp_path):
         result = GridResult(
-            np.array([[0.0, 0.0], [25.0, -4.335], [-70.0, 1e-3]]),
+            np.array([[0.0, 0.0], [25.0, -4.334], [-70.0, 1e-3]]),
             np.array([7, 0, 12], dtype=np.int64),
             np.array([12.3456, -3.21, math.inf]),
         )
