@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctclink.codec import build_frame, default_schemes, encode_symbol, preamble_schedules
+from ctclink.experiments import scenario_traffic
 from ctclink.phy import (
+    CYCLE_CHOICES,
+    MAX_ON_RUN_MS,
     RESOLUTION_US,
+    SAFETY_GAP_MS,
+    WINDOW_US,
     CsatConfig,
     MacStateSeries,
     SchedulingError,
@@ -422,3 +431,252 @@ class TestTrafficMatchesReference:
             want = ref_saturated_traffic(lte, lte, SATURATED_BURST_US, kind, rng_want,
                                          STRADDLE_PROB)
             assert_same_traffic(got, want, rng_got, rng_want)
+
+
+# ---------------------------------------------------------------------------
+# Reference waveform generator and MAC-state sampler: one slice per cycle and
+# per punctured slot, one normal draw call per noisy source, one float mean
+# per state.  The library's versions must match them bit for bit, in the
+# arrays and in the state they leave the generator in.
+# ---------------------------------------------------------------------------
+
+def ref_generate_waveform(csat, symbols, n_cycles=None):
+    per_ms = 1000 // RESOLUTION_US
+    cycle_ticks = csat.cycle_ms * per_ms
+    on_ticks = round(csat.on_ms * per_ms)
+
+    placed = []
+    cycle, offset_ms = 0, 0
+    for sched in symbols:
+        trailing = 0
+        while sched.symbol_ms - 1 - trailing in sched.positions:
+            trailing += 1
+        span = sched.symbol_ms - trailing
+        if span * per_ms > on_ticks:
+            raise SchedulingError(
+                f"symbol transmit span {span} ms exceeds ON phase {csat.on_ms} ms"
+            )
+        if (offset_ms + span) * per_ms > on_ticks:
+            cycle, offset_ms = cycle + 1, 0
+        placed.append((cycle, offset_ms, sched))
+        offset_ms += sched.symbol_ms
+
+    used_cycles = (placed[-1][0] + 1) if placed else 1
+    total_cycles = used_cycles if n_cycles is None else n_cycles
+    if n_cycles is not None and used_cycles > n_cycles:
+        raise SchedulingError(f"symbols need {used_cycles} cycles, got {n_cycles}")
+
+    envelope = np.zeros(total_cycles * cycle_ticks, dtype=bool)
+    for c in range(total_cycles):
+        envelope[c * cycle_ticks:c * cycle_ticks + on_ticks] = True
+    tx = envelope.copy()
+
+    symbol_starts = []
+    last_footprint = {}
+    for c, off_ms, sched in placed:
+        base = c * cycle_ticks + off_ms * per_ms
+        symbol_starts.append((base, sched))
+        for slot in sched.positions:
+            tx[base + slot * per_ms:base + (slot + 1) * per_ms] = False
+        last_footprint[c] = (off_ms + sched.symbol_ms) * per_ms
+
+    run_limit = MAX_ON_RUN_MS * per_ms
+    chunk = (MAX_ON_RUN_MS - SAFETY_GAP_MS) * per_ms
+    gap = SAFETY_GAP_MS * per_ms
+    for c in range(total_cycles):
+        start = c * cycle_ticks + last_footprint.get(c, 0)
+        end = c * cycle_ticks + on_ticks
+        if start >= end:
+            continue
+        carry = 0
+        t = start
+        while t > c * cycle_ticks and tx[t - 1]:
+            carry += 1
+            t -= 1
+        pos = start
+        while pos < end:
+            if carry + (end - pos) <= run_limit:
+                break
+            budget = chunk - carry
+            if budget < 0:
+                raise SchedulingError("symbol leaves no room for a safety gap")
+            tx[pos + budget:min(pos + budget + gap, end)] = False
+            pos += budget + gap
+            carry = 0
+
+    return Waveform(csat, tx, envelope, symbol_starts)
+
+
+def ref_sample_mac_states(waveforms, links, traffic=None, ed_noise_sigma_db=0.0, rng=None):
+    n_ticks = max(w.n_ticks for w in waveforms)
+    detect = np.zeros(n_ticks, dtype=bool)
+    for wave, link in zip(waveforms, links):
+        on = np.zeros(n_ticks, dtype=bool)
+        on[:wave.n_ticks] = wave.tx
+        level = link.mean_rx_dbm()
+        theta = link.ed_threshold_dbm
+        if ed_noise_sigma_db > 0:
+            margin = 8.0 * ed_noise_sigma_db
+            if level - theta >= margin:
+                detect |= on
+            elif theta - level < margin:
+                noisy = level + rng.normal(0.0, ed_noise_sigma_db, size=n_ticks)
+                detect |= on & (noisy >= theta)
+        elif level >= theta:
+            detect |= on
+    if traffic is None:
+        traffic = TrafficTrace.silent(n_ticks)
+
+    tx = traffic.tx
+    rx = ~tx & traffic.rx_locked
+    intf = ~tx & ~rx & (detect | traffic.rx_unlocked)
+    idle = ~tx & ~rx & ~intf
+
+    per_win = WINDOW_US // RESOLUTION_US
+    n_win = n_ticks // per_win
+
+    def frac(mask):
+        return mask[:n_win * per_win].reshape(n_win, per_win).mean(axis=1)
+
+    return MacStateSeries(WINDOW_US, frac(idle), frac(rx), frac(tx), frac(intf))
+
+
+def assert_same_series(got, want, rng_got, rng_want):
+    assert got.window_us == want.window_us
+    for name in ("idle", "rx", "tx", "intf"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+# ON times in ms: whole and fractional, short enough to refuse wide symbols,
+# and long enough to need safety punctures; each is kept where duty <= 50%
+ON_MS_CHOICES = (2, 5, 12, 12.6, 19, 19.2, 20, 20.35, 27, 38.5, 40, 58.5, 80)
+
+
+@st.composite
+def waveform_inputs(draw):
+    scheme = SCHEMES[draw(st.sampled_from(sorted(SCHEMES)))]
+    cycle_ms = draw(st.sampled_from(CYCLE_CHOICES))
+    on_ms = draw(st.sampled_from([on for on in ON_MS_CHOICES if on <= cycle_ms / 2]))
+    symbol = st.one_of(
+        st.sampled_from(preamble_schedules(scheme)),
+        st.integers(0, scheme.alphabet_size - 1).map(lambda v: encode_symbol(v, scheme)),
+    )
+    symbols = draw(st.lists(symbol, max_size=6))
+    n_cycles = draw(st.one_of(st.none(), st.integers(0, 8)))
+    return CsatConfig(cycle_ms, on_ms), symbols, n_cycles
+
+
+class TestWaveformMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=waveform_inputs())
+    def test_generate_waveform(self, inputs):
+        csat, symbols, n_cycles = inputs
+        try:
+            want = ref_generate_waveform(csat, symbols, n_cycles)
+        except SchedulingError as exc:
+            with pytest.raises(SchedulingError, match=re.escape(str(exc))):
+                generate_waveform(csat, symbols, n_cycles)
+            return
+        got = generate_waveform(csat, symbols, n_cycles)
+        assert got.csat == want.csat
+        assert got.tx.dtype == want.tx.dtype and got.envelope.dtype == want.envelope.dtype
+        assert np.array_equal(got.tx, want.tx)
+        assert np.array_equal(got.envelope, want.envelope)
+        assert got.symbol_starts == want.symbol_starts
+
+    @pytest.mark.parametrize("cycle_ms, on_ms, n_cycles", [
+        (40, 12, None),  # a wide20 symbol's 20 ms span does not fit
+        (40, 20, 1),  # two wide20 symbols need two cycles
+    ])
+    def test_scheduling_errors(self, cycle_ms, on_ms, n_cycles):
+        symbols = [encode_symbol(v, SCHEMES["wide20"]) for v in (0, 1)]
+        csat = CsatConfig(cycle_ms, on_ms)
+        with pytest.raises(SchedulingError) as want:
+            ref_generate_waveform(csat, symbols, n_cycles)
+        with pytest.raises(SchedulingError, match=re.escape(str(want.value))):
+            generate_waveform(csat, symbols, n_cycles)
+
+
+# how far each source's mean power sits from its ED threshold, in units of
+# sigma: exactly at and just beyond the 8-sigma margin on either side
+OFFSET_SIGMAS = (-20.0, -8.5, -8.0, -3.0, -0.5, 0.0, 0.5, 3.0, 8.0, 8.5, 20.0)
+
+
+@st.composite
+def sampler_inputs(draw):
+    sigma = draw(st.sampled_from([0.0, 0.25, 0.6, 2.0]))
+    waves, links = [], []
+    for shift in range(draw(st.integers(1, 2))):
+        n_ticks = draw(st.integers(1, len(PUNCTURED_LTE)))
+        tx = np.roll(PUNCTURED_LTE, 400 * shift)[:n_ticks]
+        waves.append(Waveform(CsatConfig(40, 20), tx, tx))
+        offset_db = draw(st.sampled_from(OFFSET_SIGMAS)) * (sigma if sigma > 0 else 0.5)
+        links.append(link_at(-60.0, ed_threshold_dbm=-60.0 - offset_db))
+    n_ticks = max(w.n_ticks for w in waves)
+    kind = draw(st.sampled_from(["none", "tx", "rx", "both"]))
+    masks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((3, n_ticks)) < 0.3
+    if kind == "none":
+        traffic = None
+    else:
+        traffic = TrafficTrace.silent(n_ticks)
+        if kind in ("tx", "both"):
+            traffic.tx = masks[0]
+        if kind in ("rx", "both"):
+            traffic.rx_locked, traffic.rx_unlocked = masks[1], masks[2]
+    return waves, links, traffic, sigma
+
+
+class TestSamplerMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=sampler_inputs(), seed=st.integers(0, 2**32 - 1))
+    def test_sample_mac_states(self, inputs, seed):
+        waves, links, traffic, sigma = inputs
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_mac_states(waves, links, traffic, sigma, rng_got)
+        want = ref_sample_mac_states(waves, links, traffic, sigma, rng_want)
+        assert_same_series(got, want, rng_got, rng_want)
+
+    def test_waveforms_are_left_unchanged(self):
+        wave = Waveform(CsatConfig(40, 20), PUNCTURED_LTE.copy(), PUNCTURED_LTE.copy())
+        sample_mac_states(wave, link_at(-62.0), None, 0.6, np.random.default_rng(0))
+        assert np.array_equal(wave.tx, PUNCTURED_LTE)
+
+
+class TestMacStateDigests:
+    """sha256 of one seeded stream's MacStateSeries and final generator state.
+
+    A 3-frame wide20 stream at -60.5 dBm against the -62 dBm threshold of
+    register 28, with 0.6 dB ED noise, so every scenario draws the ED noise
+    and the traffic scenarios draw their arrivals, gaps, bursts and
+    straddles.  No BLAS call is involved, so the digests hold on any CPU.
+    They pin the draw order of the traffic generators and the sampler.
+    """
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("clear",
+         "28559742a0e95003963de17668140c1b5231560cd797164d609193248d596d3c"),
+        ("background-light",
+         "007c4975523671ed89fa4ccd515bf515df90de6b7ac957080708ac9c6101273d"),
+        ("background-high",
+         "22431e4ab2e102b45491a5f0c3a4f30bcce7db5f0eeabebba4ab1cfd0ca4776c"),
+        ("apdl-light",
+         "64a8d12433ddbf145d42ce5b525c322dccdd5ed7cc1656037927bfe2b5bb6199"),
+        ("apdl-high",
+         "022b6b3da44b09a8948836b184b8454bf9c119a4369a362fcfed1f3f5deab40c"),
+    ])
+    def test_digest(self, scenario, digest):
+        scheme = SCHEMES["wide20"]
+        schedules = []
+        for network_id in (0x0A00002A, 0x12345678, 0x7FFFFFFF):
+            schedules += build_frame(network_id, (1, 2, 3, 4, 5, 6), scheme).schedules()
+        wave = generate_waveform(CsatConfig(40, 20), schedules).with_lead_in(7)
+        link = link_at(-60.5, ed_register=28)
+        rng = np.random.default_rng(7)
+        traffic = scenario_traffic(scenario, wave.tx, wave.tx, rng)
+        series = sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
+        h = hashlib.sha256()
+        for arr in (series.idle, series.rx, series.tx, series.intf):
+            h.update(arr.tobytes())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        assert h.hexdigest() == digest
