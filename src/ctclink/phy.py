@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,8 @@ CYCLE_CHOICES = (40, 80, 160)
 # a >=2 ms puncture is required within every 20 ms of ON time
 MAX_ON_RUN_MS = 20
 SAFETY_GAP_MS = 2
+# doubles drawn at a time by saturated_traffic
+DRAW_BLOCK = 4096
 
 
 class SchedulingError(ValueError):
@@ -153,18 +155,18 @@ def generate_waveform(
         raise SchedulingError(f"symbols need {used_cycles} cycles, got {n_cycles}")
 
     envelope = np.zeros(total_cycles * cycle_ticks, dtype=bool)
-    for c in range(total_cycles):
-        envelope[c * cycle_ticks:c * cycle_ticks + on_ticks] = True
+    envelope.reshape(total_cycles, cycle_ticks)[:, :on_ticks] = True
     tx = envelope.copy()
 
     symbol_starts = []
+    punctured_ms = []  # punctured slots, as ms from the start
     last_footprint = {}  # cycle -> ticks covered by symbols
     for c, off_ms, sched in placed:
-        base = c * cycle_ticks + off_ms * per_ms
-        symbol_starts.append((base, sched))
-        for slot in sched.positions:
-            tx[base + slot * per_ms:base + (slot + 1) * per_ms] = False
+        first_ms = c * csat.cycle_ms + off_ms
+        symbol_starts.append((first_ms * per_ms, sched))
+        punctured_ms += [first_ms + slot for slot in sched.positions]
         last_footprint[c] = (off_ms + sched.symbol_ms) * per_ms
+    tx.reshape(-1, per_ms)[punctured_ms] = False
 
     # safety punctures in symbol-free ON time
     run_limit = MAX_ON_RUN_MS * per_ms
@@ -314,10 +316,12 @@ def poisson_traffic(
     return _paint_frames(starts, frame_ticks, kind, lte_envelope)
 
 
-def _doubles(rng: np.random.Generator, block: int = 4096) -> Iterator[float]:
-    """The doubles of successive rng.random() calls, drawn a block at a time."""
-    while True:
-        yield from rng.random(block).tolist()
+def _ticks(lo: float, span: float, doubles: np.ndarray) -> list[int]:
+    """max(1, round((lo + span * d) / RESOLUTION_US)) for each double d, as ints.
+
+    np.rint rounds half to even, as round does.
+    """
+    return np.maximum(1, np.rint((lo + span * doubles) / RESOLUTION_US)).astype(np.int64).tolist()
 
 
 def saturated_traffic(
@@ -340,8 +344,11 @@ def saturated_traffic(
     not fit draws one more uniform for the straddle decision and ends the
     run.  The draws are those of successive rng.uniform / rng.random
     calls: uniform(lo, hi) is lo + (hi - lo) * random().  They are taken
-    from blocks, and rng is left exactly as far advanced as the doubles
-    used.
+    from blocks of DRAW_BLOCK doubles, and rng is left exactly as far
+    advanced as the doubles used.  For each double of a block, its gap in
+    ticks, its frame length in ticks and its straddle decision are computed
+    up front with numpy, since which of the three a double becomes is only
+    known during the walk; the walk itself then only indexes and adds ints.
     """
     ranged = isinstance(frame_us, tuple)
     gap_lo, gap_span = CONTENTION_GAP_US[0], CONTENTION_GAP_US[1] - CONTENTION_GAP_US[0]
@@ -352,19 +359,29 @@ def saturated_traffic(
     else:
         fixed_ticks = max(1, round(frame_us / RESOLUTION_US))
     saved = rng.bit_generator.state
-    doubles = _doubles(rng)
-    used = 0
+    # per double drawn so far: as a gap, as a frame length, as a straddle draw
+    gap_ticks: list[int] = []
+    burst_ticks: list[int] = []
+    straddles: list[bool] = []
+    drawn = used = 0
 
     starts, lengths = [], []
     for run_start, run_end in zip(*_runs(~busy_mask)):
         pos = run_start
         while pos < run_end:
-            pos += max(1, round((gap_lo + gap_span * next(doubles)) / RESOLUTION_US))
+            if used + 3 > drawn:  # a launch takes at most three doubles
+                drawn += DRAW_BLOCK
+                block = rng.random(DRAW_BLOCK)
+                gap_ticks += _ticks(gap_lo, gap_span, block)
+                if ranged:
+                    burst_ticks += _ticks(frame_lo, frame_span, block)
+                straddles += (block < straddle_prob).tolist()
+            pos += gap_ticks[used]
             used += 1
             if pos >= run_end:
                 break
             if ranged:
-                frame_ticks = max(1, round((frame_lo + frame_span * next(doubles)) / RESOLUTION_US))
+                frame_ticks = burst_ticks[used]
                 used += 1
             else:
                 frame_ticks = fixed_ticks
@@ -373,10 +390,10 @@ def saturated_traffic(
                 lengths.append(frame_ticks)
                 pos += frame_ticks
             else:
-                used += 1
-                if next(doubles) < straddle_prob:
+                if straddles[used]:
                     starts.append(pos)
                     lengths.append(frame_ticks)
+                used += 1
                 break
 
     rng.bit_generator.state = saved
@@ -449,8 +466,10 @@ def sample_mac_states(
     optional fast measurement noise) reaches that link's ED threshold.
 
     Ticks are RESOLUTION_US long and each fraction covers one window of
-    WINDOW_US.  Only whole windows are sampled: trailing ticks that do not
-    fill one window are dropped, so the series covers
+    WINDOW_US: it is the window's integer count of ticks in that state over
+    ``WINDOW_US // RESOLUTION_US``, which is bit for bit the float mean of
+    the window's tick masks.  Only whole windows are sampled: trailing ticks
+    that do not fill one window are dropped, so the series covers
     ``n_ticks // (WINDOW_US // RESOLUTION_US)`` windows.
     """
     if isinstance(waveforms, Waveform):
@@ -463,22 +482,24 @@ def sample_mac_states(
 
     detect = np.zeros(n_ticks, dtype=bool)
     for wave, link in zip(waveforms, links):
-        on = np.zeros(n_ticks, dtype=bool)
-        on[:wave.n_ticks] = wave.tx
+        heard = detect[:wave.n_ticks]  # a view: or-ing into it marks detect
         level = link.mean_rx_dbm()
         theta = link.ed_threshold_dbm
         if ed_noise_sigma_db > 0:
             margin = 8.0 * ed_noise_sigma_db
             if level - theta >= margin:
-                detect |= on
+                heard |= wave.tx
             elif theta - level < margin:
                 if rng is None:
                     raise ValueError("measurement noise needs a random generator")
-                noisy = level + rng.normal(0.0, ed_noise_sigma_db, size=n_ticks)
-                detect |= on & (noisy >= theta)
-        else:
-            if level >= theta:
-                detect |= on
+                # the doubles of level + rng.normal(0.0, sigma, n_ticks), which
+                # computes 0.0 + sigma * z: n_ticks normals for every source
+                noisy = rng.standard_normal(n_ticks)
+                noisy *= ed_noise_sigma_db
+                noisy += level
+                heard |= wave.tx & (noisy[:wave.n_ticks] >= theta)
+        elif level >= theta:
+            heard |= wave.tx
 
     if traffic is None:
         traffic = TrafficTrace.silent(n_ticks)
@@ -488,15 +509,24 @@ def sample_mac_states(
     tx = traffic.tx
     rx = ~tx & traffic.rx_locked
     intf = ~tx & ~rx & (detect | traffic.rx_unlocked)
-    idle = ~tx & ~rx & ~intf
 
     per_win = WINDOW_US // RESOLUTION_US
     n_win = n_ticks // per_win
     cut = n_win * per_win
 
-    def frac(mask: np.ndarray) -> np.ndarray:
-        return mask[:cut].reshape(n_win, per_win).mean(axis=1)
+    def count(mask: np.ndarray) -> np.ndarray:
+        # adding the per_win uint8 columns beats a reduction along the short axis
+        cols = mask[:cut].view(np.uint8).reshape(n_win, per_win)
+        total = cols[:, 0].copy()
+        for k in range(1, per_win):
+            total += cols[:, k]
+        return total
 
-    series = MacStateSeries(WINDOW_US, frac(idle), frac(rx), frac(tx), frac(intf))
+    n_rx, n_tx, n_intf = count(rx), count(tx), count(intf)
+    # the four states partition every tick
+    n_idle = per_win - n_rx - n_tx - n_intf
+    series = MacStateSeries(
+        WINDOW_US, n_idle / per_win, n_rx / per_win, n_tx / per_win, n_intf / per_win
+    )
     series.validate()
     return series

@@ -544,6 +544,7 @@ def ref_sample_mac_states(waveforms, links, traffic=None, ed_noise_sigma_db=0.0,
 def assert_same_series(got, want, rng_got, rng_want):
     assert got.window_us == want.window_us
     for name in ("idle", "rx", "tx", "intf"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
@@ -625,6 +626,15 @@ def sampler_inputs(draw):
         if kind in ("rx", "both"):
             traffic.rx_locked, traffic.rx_unlocked = masks[1], masks[2]
     return waves, links, traffic, sigma
+
+
+def test_saturated_half_tick_bursts_round_half_to_even():
+    # every burst is 2.5 ticks: round() makes it 2, rounding half up would make it 3
+    lte = PUNCTURED_LTE
+    rng_got, rng_want = np.random.default_rng(12), np.random.default_rng(12)
+    got = saturated_traffic(lte, lte, (125.0, 125.0), "tx", rng_got, 0.5)
+    want = ref_saturated_traffic(lte, lte, (125.0, 125.0), "tx", rng_want, 0.5)
+    assert_same_traffic(got, want, rng_got, rng_want)
 
 
 class TestSamplerMatchesReference:
