@@ -9,6 +9,7 @@ import pytest
 
 from ctclink import x2
 from ctclink.cli import build_parser, main
+from ctclink.codec import default_schemes
 from ctclink.multicell import build_cluster_configurations, build_hex_deployment
 
 
@@ -101,6 +102,18 @@ class TestLinkSweepCommand:
         }))
         assert run_cli("link-sweep", "--config", str(config),
                        "--out", str(tmp_path / "sweep.csv")) == 0
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unknown_scheme_fails_with_plain_message(self, tmp_path, capsys, source):
+        if source == "flag":
+            argv = ["link-sweep", "--scheme", "nope"]
+        else:
+            config = tmp_path / "spec.json"
+            config.write_text(json.dumps({"scheme": "nope"}))
+            argv = ["link-sweep", "--config", str(config)]
+        assert run_cli(*argv) == 1
+        have = ", ".join(repr(name) for name in sorted(default_schemes()))
+        assert capsys.readouterr().err == f"error: unknown scheme 'nope'; have [{have}]\n"
 
     def test_invalid_scenario_fails_with_diagnostic(self, capsys):
         with pytest.raises(SystemExit):
