@@ -306,21 +306,17 @@ def demodulate(series: MacStateSeries | np.ndarray, config: ReceiverConfig) -> l
 def measure_fer_ser(
     tx_symbols: Sequence[Sequence[int]],
     rx_frames: Sequence[DecodedFrame | None],
-) -> tuple[float, float]:
-    """Frame and symbol error rates against an aligned transmit log.
+) -> tuple[int, int]:
+    """Frame and symbol error counts against an aligned transmit log.
 
     A frame is in error when it was never decoded or any field CRC failed.
     A missing frame counts all its symbols as wrong.
     """
     if len(tx_symbols) != len(rx_frames):
         raise ValueError("transmit log and receive list must align 1:1")
-    if not tx_symbols:
-        return 0.0, 0.0
     frame_errors = 0
     symbol_errors = 0
-    total_symbols = 0
     for tx, rx in zip(tx_symbols, rx_frames):
-        total_symbols += len(tx)
         if rx is None or not rx.complete or rx.frame is None or not rx.frame.all_ok:
             frame_errors += 1
         if rx is None or not rx.complete:
@@ -328,7 +324,7 @@ def measure_fer_ser(
             continue
         symbol_errors += sum(1 for a, b in zip(tx, rx.symbols) if a != b)
         symbol_errors += abs(len(tx) - len(rx.symbols))
-    return frame_errors / len(tx_symbols), symbol_errors / total_symbols
+    return frame_errors, symbol_errors
 
 
 def frames_to_csv(frames: Sequence[DecodedFrame], path: str) -> None:

@@ -9,23 +9,24 @@ and emits plain CSV.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from ._csv import write_csv
-from .codec import N_CLUSTER_FIELDS, CodingScheme, build_frame, get_scheme
+from .codec import N_CLUSTER_FIELDS, build_frame, get_scheme
 from .demod import (
     DecodedFrame,
-    Demodulator,
     ReceiverConfig,
+    demodulate,
     measure_fer_ser,
     require_one_symbol_per_on,
 )
 from .multicell import GridResult, build_hex_deployment, grid_evaluate
 from .phy import (
+    RESOLUTION_US,
+    WINDOW_US,
     CsatConfig,
     TrafficTrace,
     generate_waveform,
@@ -175,14 +176,14 @@ def align_to_schedule(
 
 
 def run_stream(
-    scheme: CodingScheme,
-    csat: CsatConfig,
+    config: ReceiverConfig,
     link: RadioLink,
     scenario: str,
     n_frames: int,
     rng: np.random.Generator,
-) -> tuple[float, float]:
-    """(FER, SER) of one continuous stream of frames with fresh traffic."""
+) -> tuple[int, int]:
+    """(frame errors, symbol errors) of one stream of frames with fresh traffic."""
+    scheme, csat = config.scheme, config.csat
     require_one_symbol_per_on(scheme, csat)
     tx_symbols = []
     schedules = []
@@ -192,9 +193,8 @@ def run_stream(
         tx_symbols.append(list(stream.data))
         schedules.extend(stream.schedules())
     wave = generate_waveform(csat, schedules)
-    config = ReceiverConfig(scheme, csat)
     lead_windows = int(rng.integers(0, 2 * config.samples_per_cycle))
-    wave = wave.with_lead_in(5 * lead_windows)
+    wave = wave.with_lead_in(lead_windows * (WINDOW_US // RESOLUTION_US))
 
     sensed = link.mean_rx_dbm() >= link.ed_threshold_dbm
     busy = wave.tx if sensed else np.zeros(wave.n_ticks, dtype=bool)
@@ -203,8 +203,7 @@ def run_stream(
         wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
     )
 
-    decoded = Demodulator(config)
-    frames = decoded.feed(series) + decoded.finish()
+    frames = demodulate(series, config)
     aligned = align_to_schedule(frames, n_frames, lead_windows, config)
     return measure_fer_ser(tx_symbols, aligned)
 
@@ -247,36 +246,24 @@ class SweepResult:
         write_csv(path, _POINT_COLUMNS, map(astuple, self.points))
 
 
-def _run_point(spec: ExperimentSpec, point_index: int) -> SweepPoint:
-    power = spec.powers_dbm[point_index]
-    scheme = get_scheme(spec.scheme)
-    link = RadioLink.at_rx_power(power, ed_register=spec.theta)
-    frame_errors = 0
-    symbol_errors = 0.0
-    for rep in range(spec.repetitions):
-        rng = np.random.default_rng([spec.seed, spec.theta, point_index, rep])
-        fer, ser = run_stream(scheme, spec.csat, link, spec.scenario, spec.frames_per_rep, rng)
-        frame_errors += round(fer * spec.frames_per_rep)
-        symbol_errors += ser * spec.frames_per_rep
-    n = spec.frames_per_point
-    lo, hi = wilson_interval(frame_errors, n)
-    return SweepPoint(
-        spec.scenario,
-        spec.theta,
-        power,
-        frame_errors / n,
-        symbol_errors / n,
-        lo,
-        hi,
-        n,
-    )
-
-
 def run_link_sweep(spec: ExperimentSpec) -> SweepResult:
-    """FER/SER versus receive power; points run in parallel, output in order."""
-    indices = range(len(spec.powers_dbm))
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        points = list(pool.map(lambda i: _run_point(spec, i), indices))
+    """FER/SER versus receive power, one point per power in sweep order."""
+    config = ReceiverConfig(get_scheme(spec.scheme), spec.csat)
+    n = spec.frames_per_point
+    points = []
+    for i, power in enumerate(spec.powers_dbm):
+        link = RadioLink.at_rx_power(power, ed_register=spec.theta)
+        frame_errors = symbol_errors = 0
+        for rep in range(spec.repetitions):
+            rng = np.random.default_rng([spec.seed, spec.theta, i, rep])
+            fe, se = run_stream(config, link, spec.scenario, spec.frames_per_rep, rng)
+            frame_errors += fe
+            symbol_errors += se
+        lo, hi = wilson_interval(frame_errors, n)
+        points.append(SweepPoint(
+            spec.scenario, spec.theta, power, frame_errors / n,
+            symbol_errors / (n * config.frame_symbols), lo, hi, n,
+        ))
     return SweepResult(spec, points)
 
 

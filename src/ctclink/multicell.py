@@ -163,13 +163,6 @@ class Codebook:
                 f"no cluster {cluster_id} in configuration slot {slot}"
             ) from None
 
-    def canonical_items(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """Deterministic ordering used for serialization and hashing."""
-        return tuple(
-            (slot, cid, tuple(sorted(members)))
-            for (slot, cid), members in sorted(self.entries.items())
-        )
-
 
 def _triad_anchors(q: int, r: int, orientation: str) -> list[tuple[int, int]]:
     """Anchor candidates whose triad of the given orientation contains (q, r)."""

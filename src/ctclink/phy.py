@@ -443,13 +443,15 @@ class MacStateSeries:
         data = np.genfromtxt(path, delimiter=",", names=True)
         data = np.atleast_1d(data)
         window = int(data["t_us"][1] - data["t_us"][0]) if len(data) > 1 else WINDOW_US
-        return cls(
+        series = cls(
             window_us=window,
             idle=np.asarray(data["idle"], dtype=float),
             rx=np.asarray(data["rx"], dtype=float),
             tx=np.asarray(data["tx"], dtype=float),
             intf=np.asarray(data["intf"], dtype=float),
         )
+        series.validate()
+        return series
 
 
 def sample_mac_states(
@@ -523,10 +525,8 @@ def sample_mac_states(
         return total
 
     n_rx, n_tx, n_intf = count(rx), count(tx), count(intf)
-    # the four states partition every tick
+    # the rx, tx and intf masks are disjoint, so idle completes a partition of every tick
     n_idle = per_win - n_rx - n_tx - n_intf
-    series = MacStateSeries(
+    return MacStateSeries(
         WINDOW_US, n_idle / per_win, n_rx / per_win, n_tx / per_win, n_intf / per_win
     )
-    series.validate()
-    return series

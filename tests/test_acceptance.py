@@ -25,6 +25,7 @@ from ctclink.codec import (
     parse_payload,
 )
 from ctclink.analytics import ctc_data_rate, peak_rate_bps, rate_airtime_table
+from ctclink.demod import ReceiverConfig
 from ctclink.experiments import ExperimentSpec, run_ed_sweep, run_link_sweep, run_stream
 from ctclink.multicell import (
     build_cluster_configurations,
@@ -75,15 +76,14 @@ class TestAcceptance:
                    "codebook yield exactly {3,4,5,6}")
 
     def test_criterion_04_clear_channel_loopback(self):
-        scheme = get_scheme("wide20")
-        csat = CsatConfig(40, 20)
+        config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
         link = RadioLink.at_rx_power(-56.0, ed_register=28)
         total_frames = 0
         for stream_idx in range(4):
             rng = np.random.default_rng([41, stream_idx])
-            fer, ser = run_stream(scheme, csat, link, "clear", 25, rng)
-            assert fer == 0.0, f"stream {stream_idx} lost frames"
-            assert ser == 0.0, f"stream {stream_idx} had symbol errors"
+            frame_errors, symbol_errors = run_stream(config, link, "clear", 25, rng)
+            assert frame_errors == 0, f"stream {stream_idx} lost frames"
+            assert symbol_errors == 0, f"stream {stream_idx} had symbol errors"
             total_frames += 25
         assert total_frames == 100
         verdict(4, "100/100 clear-channel frames recovered bit-exactly across "

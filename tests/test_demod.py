@@ -489,7 +489,7 @@ class TestMetrics:
 
     def test_perfect_reception(self):
         _, _, tx, rx = self._frames(10)
-        assert measure_fer_ser(tx, rx) == (0.0, 0.0)
+        assert measure_fer_ser(tx, rx) == (0, 0)
 
     def test_single_bad_symbol(self):
         from ctclink.codec import parse_frame
@@ -505,18 +505,13 @@ class TestMetrics:
         assert not bad.frame.all_ok
         rx = list(rx)
         rx[3] = bad
-        fer, ser = measure_fer_ser(tx, rx)
-        n = len(stream.data)
-        assert fer == pytest.approx(1 / 10)
-        assert ser == pytest.approx(1 / (10 * n))
+        assert measure_fer_ser(tx, rx) == (1, 1)
 
     def test_missing_frame_counts_all_symbols(self):
         stream, _, tx, rx = self._frames(4)
         rx = list(rx)
         rx[0] = None
-        fer, ser = measure_fer_ser(tx, rx)
-        assert fer == pytest.approx(1 / 4)
-        assert ser == pytest.approx(1 / 4)
+        assert measure_fer_ser(tx, rx) == (1, len(stream.data))
 
     def test_truncated_frame_is_an_error(self):
         stream, cfg, tx, rx = self._frames(2)
@@ -524,9 +519,7 @@ class TestMetrics:
 
         cut = DecodedFrame(tuple(stream.data[:10]), 0, 0.0, False, None, b"", 0)
         rx = [rx[0], cut]
-        fer, ser = measure_fer_ser(tx, rx)
-        assert fer == pytest.approx(1 / 2)
-        assert ser == pytest.approx(1 / 2)
+        assert measure_fer_ser(tx, rx) == (1, len(stream.data))
 
     def test_length_mismatch_rejected(self):
         _, _, tx, rx = self._frames(3)
@@ -534,7 +527,7 @@ class TestMetrics:
             measure_fer_ser(tx, rx[:2])
 
     def test_empty_is_clean(self):
-        assert measure_fer_ser([], []) == (0.0, 0.0)
+        assert measure_fer_ser([], []) == (0, 0)
 
 
 class TestReport:

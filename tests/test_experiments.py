@@ -219,38 +219,37 @@ class TestAlignment:
 class TestRunStream:
     def test_clear_channel_is_error_free(self):
         rng = np.random.default_rng(5)
-        fer, ser = run_stream(
-            get_scheme("wide20"), CsatConfig(40, 20),
+        counts = run_stream(
+            ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20)),
             RadioLink.at_rx_power(-56.0, ed_register=28),
             "clear", 4, rng,
         )
-        assert fer == 0.0 and ser == 0.0
+        assert counts == (0, 0)
 
     def test_below_threshold_loses_everything(self):
         rng = np.random.default_rng(6)
-        fer, ser = run_stream(
-            get_scheme("wide20"), CsatConfig(40, 20),
-            RadioLink.at_rx_power(-70.0, ed_register=28),
-            "clear", 4, rng,
+        config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
+        counts = run_stream(
+            config, RadioLink.at_rx_power(-70.0, ed_register=28), "clear", 4, rng,
         )
-        assert fer == 1.0 and ser == 1.0
+        assert counts == (4, 4 * config.frame_symbols)
 
     def test_two_symbols_per_on_phase_rejected(self):
         with pytest.raises(ValueError, match="one symbol per ON phase"):
             run_stream(
-                get_scheme("wide20"), CsatConfig(80, 40),
+                ReceiverConfig(get_scheme("wide20"), CsatConfig(80, 40)),
                 RadioLink.at_rx_power(-56.0, ed_register=28),
                 "clear", 2, np.random.default_rng(5),
             )
 
     @pytest.mark.parametrize("cycle_ms, on_ms, scheme", [(40, 20, "wide20"), (80, 19, "short12")])
     def test_one_symbol_per_on_phase_decodes(self, cycle_ms, on_ms, scheme):
-        fer, ser = run_stream(
-            get_scheme(scheme), CsatConfig(cycle_ms, on_ms),
+        counts = run_stream(
+            ReceiverConfig(get_scheme(scheme), CsatConfig(cycle_ms, on_ms)),
             RadioLink.at_rx_power(-56.0, ed_register=28),
             "clear", 2, np.random.default_rng(5),
         )
-        assert fer == 0.0 and ser == 0.0
+        assert counts == (0, 0)
 
 
 class TestLinkSweep:
@@ -293,6 +292,23 @@ class TestLinkSweep:
         assert lines[0] == "scenario,theta,power_dbm,fer,ser,fer_lo,fer_hi,n_frames"
         assert len(lines) == 1 + 4
         assert lines[1].startswith("clear,28,-64,1.000000,")
+
+    def test_point_sums_the_counts_of_its_streams(self):
+        spec = self.make_spec(scenario="background-high", powers_dbm=(-91.5,), theta=3,
+                              seed=4, repetitions=3, frames_per_rep=8)
+        (point,) = run_link_sweep(spec).points
+        config = ReceiverConfig(get_scheme(spec.scheme), spec.csat)
+        link = RadioLink.at_rx_power(-91.5, ed_register=3)
+        counts = [
+            run_stream(config, link, spec.scenario, 8, np.random.default_rng([4, 3, 0, rep]))
+            for rep in range(3)
+        ]
+        frame_errors = sum(fe for fe, _ in counts)
+        symbol_errors = sum(se for _, se in counts)
+        assert 0 < symbol_errors < 24 * config.frame_symbols  # not all or nothing
+        assert point.n_frames == 24
+        assert point.fer == frame_errors / 24
+        assert point.ser == symbol_errors / (24 * config.frame_symbols)
 
 
 class TestEdSweep:

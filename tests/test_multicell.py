@@ -133,12 +133,6 @@ class TestClustering:
         with pytest.raises(UnsupportedTopologyError):
             build_cluster_configurations(bare)
 
-    def test_canonical_items_sorted_and_stable(self):
-        _, codebook = build_cluster_configurations(build_hex_deployment(19))
-        items = codebook.canonical_items()
-        assert items == tuple(sorted(items))
-        assert items == codebook.canonical_items()
-
 
 class TestExampleCodebook:
     def test_quoted_rows(self):

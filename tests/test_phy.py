@@ -198,6 +198,13 @@ class TestSampler:
         assert np.allclose(back.intf, series.intf, atol=1e-6)
         assert np.allclose(back.idle, series.idle, atol=1e-6)
 
+    @pytest.mark.parametrize("row", ["0.9,0.9,0,0", "1.5,0,0,-0.5"])
+    def test_from_csv_rejects_fractions_that_are_no_partition(self, tmp_path, row):
+        path = tmp_path / "mac.csv"
+        path.write_text(f"t_us,idle,rx,tx,intf\n0,1,0,0,0\n250,{row}\n")
+        with pytest.raises(ValueError, match="fractions"):
+            MacStateSeries.from_csv(str(path))
+
     def test_csv_text(self, tmp_path):
         series = MacStateSeries(
             250,
@@ -646,6 +653,7 @@ class TestSamplerMatchesReference:
         got = sample_mac_states(waves, links, traffic, sigma, rng_got)
         want = ref_sample_mac_states(waves, links, traffic, sigma, rng_want)
         assert_same_series(got, want, rng_got, rng_want)
+        got.validate()
 
     def test_waveforms_are_left_unchanged(self):
         wave = Waveform(CsatConfig(40, 20), PUNCTURED_LTE.copy(), PUNCTURED_LTE.copy())
