@@ -121,6 +121,15 @@ class PunctureSchedule:
     positions: tuple[int, ...]
     symbol_index: int | None = None
 
+    @cached_property
+    def trailing_gap_ms(self) -> int:
+        """Length of the punctured run ending at the symbol's last slot."""
+        punctured = set(self.positions)
+        gap = 0
+        while self.symbol_ms - 1 - gap in punctured:
+            gap += 1
+        return gap
+
 
 @dataclass(frozen=True)
 class CodingScheme:
@@ -197,6 +206,23 @@ class CodingScheme:
     @property
     def alphabet_size(self) -> int:
         return 1 << self.bits_per_symbol
+
+    @cached_property
+    def schedule_table(self) -> "_ScheduleTable":
+        """encode_symbol's schedule per value, each encoded on its first lookup."""
+        return _ScheduleTable(self)
+
+
+class _ScheduleTable(dict):
+    """Memo of encode_symbol for one scheme, keyed by value."""
+
+    def __init__(self, scheme: CodingScheme) -> None:
+        super().__init__()
+        self.scheme = scheme
+
+    def __missing__(self, value: int) -> PunctureSchedule:
+        schedule = self[value] = encode_symbol(value, self.scheme)
+        return schedule
 
 
 def encode_symbol(value: int, scheme: CodingScheme) -> PunctureSchedule:
@@ -333,7 +359,8 @@ class SymbolStream:
 
     def schedules(self) -> list[PunctureSchedule]:
         """Every on-air schedule, preamble first."""
-        return list(self.preamble) + [encode_symbol(v, self.scheme) for v in self.data]
+        table = self.scheme.schedule_table
+        return list(self.preamble) + [table[v] for v in self.data]
 
     @property
     def n_symbols(self) -> int:

@@ -9,6 +9,14 @@ clock; a later, higher correlation re-anchors it.  Every cycle after the
 anchor, the trailing window is correlated against all one-cycle symbol
 templates and the best match is appended until a frame is complete.
 
+The receiver computes in exact integers.  With n = WINDOW_US //
+RESOLUTION_US ticks per window, a cleaned sample is (2k - n) / (2n) for k
+of the window's ticks, so the receiver rounds its input to that 1/(2n)
+grid once and works on the integers 2n * sample.  Templates and the
+preamble are +-1, so every correlation is an integer (4n times its value
+in the cleaned domain), and the first maximum among the templates does
+not depend on the order in which any sum is taken.
+
 Templates and the preamble reference are built by running the actual
 transmit/sample/clean pipeline on a clean channel, so the noiseless
 loopback is exact by construction.
@@ -20,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ._csv import write_csv
 from .codec import (
@@ -32,7 +39,14 @@ from .codec import (
     parse_frame,
     preamble_schedules,
 )
-from .phy import WINDOW_US, CsatConfig, MacStateSeries, generate_waveform, sample_mac_states
+from .phy import (
+    RESOLUTION_US,
+    WINDOW_US,
+    CsatConfig,
+    MacStateSeries,
+    generate_waveform,
+    sample_mac_states,
+)
 from .radio import RadioLink
 
 # cleaning thresholds: confident interference, confident silence, and the
@@ -42,6 +56,10 @@ TAU2 = 0.8
 TAU3 = 0.5
 # synchronization threshold as a share of the preamble's peak correlation
 TAU_P_FACTOR = 0.75
+# the receiver's integer grid: samples scaled by 2n (n ticks per window)
+# lie in [-n, n], and their correlations with +-1 references by 4n
+SAMPLE_SCALE = 2 * (WINDOW_US // RESOLUTION_US)
+CORR_SCALE = 2 * SAMPLE_SCALE
 
 
 def clean_signal(series: MacStateSeries) -> np.ndarray:
@@ -49,7 +67,9 @@ def clean_signal(series: MacStateSeries) -> np.ndarray:
 
     Rules apply in order with strict comparisons: interference above TAU1
     saturates to 1, silence above TAU2 saturates to 0, any of rx/tx/idle
-    above TAU3 forces 0, then the DC offset of 0.5 is removed.
+    above TAU3 forces 0, then the DC offset of 0.5 is removed.  For any
+    series the sampler makes the result lies on the 1/SAMPLE_SCALE grid;
+    Demodulator.feed rounds its input to that grid before it computes.
     """
     s = series.intf.astype(np.float64).copy()
     s[s > TAU1] = 1.0
@@ -90,10 +110,11 @@ def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
 class ReceiverConfig:
     """Everything the demodulator needs for one (scheme, duty cycle) pair.
 
-    Samples are WINDOW_US windows cleaned with TAU1-TAU3; the
-    synchronization threshold tau_p is TAU_P_FACTOR times the preamble's
-    peak correlation.  Every cycle CsatConfig allows is a whole number of
-    windows.
+    Samples are WINDOW_US windows cleaned with TAU1-TAU3.  templates and
+    preamble hold the signs (+-1) of the cleaned references.  max_corr is
+    the preamble's peak correlation in the cleaned domain, and the
+    synchronization threshold tau_p is TAU_P_FACTOR times it.  Every cycle
+    CsatConfig allows is a whole number of windows.
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -107,27 +128,47 @@ class ReceiverConfig:
         pre = preamble_schedules(scheme)
         self.preamble = np.concatenate([self._prototype(p) for p in pre])
         self.preamble_len = len(self.preamble)  # N = 4W
-        self.max_corr = float(self.preamble @ self.preamble)
+        # a perfect match of +-0.5 samples against the +-0.5 reference
+        self.max_corr = float(self.preamble @ self.preamble) / 4
         self.tau_p = TAU_P_FACTOR * self.max_corr
+        # r[t] = sum over e of d[e] * S[t - N + 1 + e], S the running sum of
+        # the samples and d[e] = P[e - 1] - P[e] with P = 0 outside [0, N):
+        # d is 2 * sign at each inner edge of the preamble's constant runs
+        d = -np.diff(self.preamble, prepend=0.0, append=0.0)
+        self._inner_edges = tuple(
+            (int(e), np.add if d[e] > 0 else np.subtract)
+            for e in np.flatnonzero(d[1:-1]) + 1
+        )
 
     def _prototype(self, schedule: PunctureSchedule) -> np.ndarray:
-        """One-cycle cleaned reference for a schedule, via the real pipeline."""
+        """Signs of the one-cycle cleaned reference, via the real pipeline."""
         wave = generate_waveform(self.csat, [schedule], n_cycles=1)
         link = RadioLink(distance_m=1.0)  # far above any ED threshold
-        return clean_signal(sample_mac_states(wave, link))
+        return 2.0 * clean_signal(sample_mac_states(wave, link))
 
-    def preamble_correlation(self, cleaned: np.ndarray) -> np.ndarray:
-        """r[t] = dot(P, window ending at t); -inf while the window is short.
+    def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
+        """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.
 
-        Values are quantized to 1e-6 so the result does not depend on how
-        the stream was chunked: cleaned samples are multiples of 0.05, so
-        true correlations sit at least half a quantum from any rounding
-        boundary while the FFT jitter is orders of magnitude smaller.
+        x holds integers (the receiver's samples times SAMPLE_SCALE).  The
+        preamble is constant over runs, so r is one running sum of x plus
+        one shifted add per run edge.  Every term is an integer far below
+        2**53, so r is exact and does not depend on how a stream is chunked.
         """
-        out = np.full(len(cleaned), -np.inf)
-        if len(cleaned) >= self.preamble_len:
-            valid = sp_signal.correlate(cleaned, self.preamble, mode="valid", method="fft")
-            out[self.preamble_len - 1:] = np.round(valid, 6)
+        N = self.preamble_len
+        out = np.full(len(x), -np.inf)
+        m = len(x) - N + 1
+        if m > 0:
+            S = np.empty(len(x) + 1)
+            S[0] = 0.0
+            np.cumsum(x, out=S[1:])
+            r = out[N - 1:]
+            r[:] = 0.0
+            for e, op in self._inner_edges:
+                op(r, S[e:e + m], out=r)
+            r *= 2.0
+            # the outer edges weigh the first and last sample's sign once
+            (np.add if self.preamble[-1] > 0 else np.subtract)(r, S[N:], out=r)
+            (np.subtract if self.preamble[0] > 0 else np.add)(r, S[:m], out=r)
         return out
 
 
@@ -178,8 +219,8 @@ def _first_at_least(values: np.ndarray, pos: int, level: float, block: int) -> i
     return -1
 
 
-def _receiver_scan(cleaned, pre_corr, templates, W, L, tau_p, start, state):
-    """Scan a cleaned sample stream for frames.
+def _receiver_scan(x, pre_corr, templates, W, L, tau_p, start, state):
+    """Scan an integer sample stream for frames.
 
     The receiver is a per-sample state machine.  Unsynchronized, a
     preamble correlation at or above tau_p arms it.  Synchronized, any
@@ -187,10 +228,14 @@ def _receiver_scan(cleaned, pre_corr, templates, W, L, tau_p, start, state):
     every W samples after the anchor one symbol is decoded by correlating
     the trailing window against every template (first maximum wins).
     The scan jumps from event to event instead of visiting every sample;
-    between events the state cannot change.
+    between events the state cannot change.  Once synchronized it searches
+    the rest of the frame for a re-anchor, and if there is none it decodes
+    all of the frame's symbols in this array with one matrix product.
+    Integer operands make every correlation exact, so the first maximum is
+    the same whichever order the product sums in.
 
     Args:
-        cleaned: float64 stream in the symmetric (-0.5, +0.5) domain.
+        x: integer-valued float64 samples.
         pre_corr: preamble correlation, pre_corr[t] covering the window
             ending at t; -inf where that window is not yet full.
         templates: (alphabet, W) matrix of one-cycle references.
@@ -207,7 +252,7 @@ def _receiver_scan(cleaned, pre_corr, templates, W, L, tau_p, start, state):
         (frames, state); frames holds (anchor, R, symbols) of each frame
         completed here, with indices local to this array.
     """
-    T = len(cleaned)
+    T = len(x)
     s, R, t0, l, anchor, partial = state or (0, 0.0, 0, 0, 0, ())
     partial = list(partial)
     frames = []
@@ -220,23 +265,25 @@ def _receiver_scan(cleaned, pre_corr, templates, W, L, tau_p, start, state):
             s, R, t0, l, anchor, partial = 1, float(pre_corr[t]), t, 0, t, []
             pos = t + 1
             continue
-        next_dec = t0 + W
-        hits = np.nonzero(pre_corr[pos:next_dec + 1] >= R)[0]
+        # the frame's last decode instant, or the array's last sample
+        last = min(t0 + (L - l) * W, T - 1)
+        hits = np.flatnonzero(pre_corr[pos:last + 1] >= R)
         if hits.size:
             # a stronger preamble match restarts the frame
             t = pos + int(hits[0])
             R, t0, l, anchor, partial = float(pre_corr[t]), t, 0, t, []
             pos = t + 1
             continue
-        if next_dec >= T:
-            break  # the decode instant lies beyond this chunk
-        partial.append(int(np.argmax(templates @ cleaned[next_dec - W + 1:next_dec + 1])))
-        l += 1
-        t0 = next_dec
-        if l == L:
-            frames.append((anchor, R, partial))
-            s, l, partial = 0, 0, []
-        pos = next_dec + 1
+        m = (last - t0) // W  # decode instants t0 + W, ..., t0 + m * W
+        windows = x[t0 + 1:t0 + 1 + m * W].reshape(m, W)
+        partial += (windows @ templates.T).argmax(axis=1).tolist()
+        l += m
+        t0 += m * W
+        if l < L:
+            break  # the next decode instant lies beyond this array
+        frames.append((anchor, R, partial))
+        s, l, partial = 0, 0, []
+        pos = t0 + 1
     return frames, (s, R, t0, l, anchor, tuple(partial))
 
 
@@ -257,16 +304,22 @@ class Demodulator:
         self._global0 = 0  # stream index of carry[0]
 
     def feed(self, chunk: MacStateSeries | np.ndarray) -> list[DecodedFrame]:
+        """Decode a chunk of MAC states or of cleaned samples.
+
+        Cleaned samples are rounded to the nearest multiple of
+        1/SAMPLE_SCALE, which leaves every series the sampler makes as it
+        is; all later arithmetic is on those integers and exact.
+        """
         cfg = self.config
         if isinstance(chunk, MacStateSeries):
             cleaned = clean_signal(chunk)
         else:
             cleaned = np.asarray(chunk, dtype=np.float64)
-        buf = np.concatenate([self._carry, cleaned])
+        buf = np.concatenate([self._carry, np.rint(SAMPLE_SCALE * cleaned)])
         pre = cfg.preamble_correlation(buf)
         raw, state = _receiver_scan(
             buf, pre, cfg.templates, cfg.samples_per_cycle, cfg.frame_symbols,
-            cfg.tau_p, len(self._carry), self._state,
+            CORR_SCALE * cfg.tau_p, len(self._carry), self._state,
         )
         frames = [self._assemble(anchor + self._global0, peak, symbols, True)
                   for anchor, peak, symbols in raw]
@@ -292,7 +345,7 @@ class Demodulator:
         values = tuple(int(v) for v in symbols)
         bits, n_bits = _pack_bits(values, self.config.scheme.bits_per_symbol)
         frame = parse_frame(values, self.config.scheme) if complete else None
-        return DecodedFrame(values, int(sync_t), float(peak), complete, frame, bits, n_bits)
+        return DecodedFrame(values, int(sync_t), peak / CORR_SCALE, complete, frame, bits, n_bits)
 
 
 def demodulate(series: MacStateSeries | np.ndarray, config: ReceiverConfig) -> list[DecodedFrame]:

@@ -36,6 +36,10 @@ MAX_ON_RUN_MS = 20
 SAFETY_GAP_MS = 2
 # doubles drawn at a time by saturated_traffic
 DRAW_BLOCK = 4096
+# decimals of the fractions in a MacStateSeries CSV; reading one back, the
+# four fractions of a window may each be off by half a last decimal
+CSV_DECIMALS = 6
+FRACTION_SUM_TOL = 4 * 0.5 * 10.0 ** -CSV_DECIMALS
 
 
 class SchedulingError(ValueError):
@@ -107,18 +111,6 @@ class Waveform:
             raise ValueError(f"TX run of {runs.max()} ticks exceeds the 20 ms limit")
 
 
-def _trailing_gap_ms(schedule: PunctureSchedule) -> int:
-    """Length of the punctured run ending at the symbol's last slot."""
-    gap = 0
-    pos = set(schedule.positions)
-    for slot in range(schedule.symbol_ms - 1, -1, -1):
-        if slot in pos:
-            gap += 1
-        else:
-            break
-    return gap
-
-
 def generate_waveform(
     csat: CsatConfig,
     symbols: Sequence[PunctureSchedule],
@@ -139,7 +131,7 @@ def generate_waveform(
     placed: list[tuple[int, int, PunctureSchedule]] = []
     cycle, offset_ms = 0, 0
     for sched in symbols:
-        span = sched.symbol_ms - _trailing_gap_ms(sched)
+        span = sched.symbol_ms - sched.trailing_gap_ms
         if span * per_ms > on_ticks:
             raise SchedulingError(
                 f"symbol transmit span {span} ms exceeds ON phase {csat.on_ms} ms"
@@ -424,17 +416,20 @@ class MacStateSeries:
         return np.arange(self.n_samples) * self.window_us
 
     def validate(self) -> None:
+        """ValueError unless every window's fractions lie in [0, 1] and sum
+        to 1 within FRACTION_SUM_TOL, the rounding of the CSV format."""
         total = self.idle + self.rx + self.tx + self.intf
-        if not np.all(np.abs(total - 1.0) < 1e-9):
+        if not np.all(np.abs(total - 1.0) <= FRACTION_SUM_TOL):
             raise ValueError("MAC-state fractions must sum to 1 per window")
         for arr in (self.idle, self.rx, self.tx, self.intf):
             if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
                 raise ValueError("fractions must lie in [0, 1]")
 
     def to_csv(self, path: str) -> None:
+        fmt = f".{CSV_DECIMALS}f"
         write_csv(
             path,
-            (("t_us", ""), ("idle", ".6f"), ("rx", ".6f"), ("tx", ".6f"), ("intf", ".6f")),
+            (("t_us", ""), ("idle", fmt), ("rx", fmt), ("tx", fmt), ("intf", fmt)),
             zip(self.t_us, self.idle, self.rx, self.tx, self.intf),
         )
 

@@ -173,6 +173,26 @@ class TestSymbolRoundtrip:
             seen.add(sched.positions)
             assert decode_symbol(sched, scheme) == v
 
+    @pytest.mark.parametrize("name", sorted(default_schemes()))
+    def test_schedule_table_equals_encoder(self, name):
+        scheme = default_schemes()[name]
+        table = scheme.schedule_table
+        values = range(scheme.alphabet_size)
+        first = [table[v] for v in values]
+        assert first == [encode_symbol(v, scheme) for v in values]
+        # each value is encoded once: later lookups return the same object
+        assert all(a is b for a, b in zip(first, (table[v] for v in values)))
+        with pytest.raises(ValueError):
+            table[scheme.alphabet_size]
+
+    @pytest.mark.parametrize("name", sorted(default_schemes()))
+    def test_trailing_gap_is_the_last_punctured_run(self, name):
+        scheme = default_schemes()[name]
+        values = range(min(scheme.alphabet_size, 64))
+        for sched in [*(encode_symbol(v, scheme) for v in values), *preamble_schedules(scheme)]:
+            on_air = [slot for slot in range(sched.symbol_ms) if slot not in sched.positions]
+            assert sched.trailing_gap_ms == sched.symbol_ms - 1 - on_air[-1]
+
     def test_lexicographic_value_order(self):
         # larger value never yields a lexicographically smaller puncture set
         scheme = default_schemes()["multi20-k3"]

@@ -3,6 +3,7 @@ the scan against a per-sample oracle, and the error-rate metrics."""
 
 import bisect
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 from ctclink.codec import build_frame, frame_symbol_count, get_scheme
 from ctclink.demod import (
+    CORR_SCALE,
+    SAMPLE_SCALE,
     Demodulator,
     ReceiverConfig,
     _receiver_scan,
@@ -19,7 +22,7 @@ from ctclink.demod import (
     frames_to_csv,
     measure_fer_ser,
 )
-from ctclink.experiments import scenario_traffic
+from ctclink.experiments import DEFAULT_ED_NOISE_SIGMA_DB, scenario_traffic
 from ctclink.phy import CsatConfig, MacStateSeries, Waveform, generate_waveform, sample_mac_states
 from ctclink.radio import RadioLink
 
@@ -28,12 +31,14 @@ CONFIGS = {
     "short12": CsatConfig(40, 12),
     "multi20-k1": CsatConfig(80, 19),
     "multi20-k4": CsatConfig(80, 19),
+    "multi20-k3": CsatConfig(40, 20),
 }
 
 NETWORK_ID = 0x1234ABCD
 CLUSTERS = (11, 22, 33, 44, 55, 66)
 
 
+@functools.lru_cache(maxsize=None)
 def make_config(name: str) -> ReceiverConfig:
     return ReceiverConfig(get_scheme(name), CONFIGS[name])
 
@@ -99,8 +104,8 @@ class TestReceiverConfig:
     def test_templates_are_binary_valued(self, name):
         cfg = make_config(name)
         assert cfg.templates.shape == (cfg.scheme.alphabet_size, cfg.samples_per_cycle)
-        assert set(np.unique(cfg.templates)) == {-0.5, 0.5}
-        assert set(np.unique(cfg.preamble)) == {-0.5, 0.5}
+        assert set(np.unique(cfg.templates)) == {-1.0, 1.0}
+        assert set(np.unique(cfg.preamble)) == {-1.0, 1.0}
 
     def test_preamble_is_four_cycles(self):
         cfg = make_config("wide20")
@@ -239,10 +244,11 @@ class TestResync:
     def test_later_stronger_preamble_wins(self):
         cfg = make_config("wide20")
         stream = build_frame(NETWORK_ID, CLUSTERS, cfg.scheme)
-        body = np.concatenate([cfg.templates[v] for v in stream.data])
-        weak = 0.8 * cfg.preamble
+        # templates and preamble are signs; a clean sample is half of one
+        body = np.concatenate([0.5 * cfg.templates[v] for v in stream.data])
+        weak = 0.4 * cfg.preamble
         cleaned = np.concatenate([
-            np.full(200, -0.5), weak, cfg.preamble, body, np.full(200, -0.5),
+            np.full(200, -0.5), weak, 0.5 * cfg.preamble, body, np.full(200, -0.5),
         ])
         frames = demodulate(cleaned, cfg)
         complete = [f for f in frames if f.complete]
@@ -257,19 +263,33 @@ class TestResync:
         assert all(not f.frame.all_ok for f in frames if f.complete and f is not frame)
 
 
-def oracle_scan(cleaned, pre_corr, templates, W, L, tau_p, history=None):
-    """The receiver's state machine run one sample at a time.
+def exact_correlation(x, reference):
+    """Integer np.correlate of x with a reference, aligned as
+    ReceiverConfig.preamble_correlation: -inf where the window is short."""
+    x = np.asarray(x).astype(np.int64)
+    out = np.full(len(x), -np.inf)
+    if len(x) >= len(reference):
+        out[len(reference) - 1:] = np.correlate(x, np.asarray(reference).astype(np.int64), "valid")
+    return out
+
+
+def oracle_scan(x, pre_corr, templates, W, L, tau_p, history=None):
+    """The receiver's state machine run one sample at a time, in exact arithmetic.
 
     The reference for the event-jumping scan in demod: every sample is
-    visited and the state changes exactly as the scan documents.  A
-    decode takes its correlations from the same matrix product as the
-    scan, so both see the same floats, and picks the first maximum with
-    an explicit loop.  With ``history`` a list, (t, state) is appended
-    after every sample that changed the state.
+    visited and the state changes exactly as the scan documents.  x and
+    templates hold integers, pre_corr integers or -inf.  A decode takes its
+    correlations as Python ints, one window at a time, and picks the first
+    maximum with an explicit loop, so no rounding and no summation order
+    is involved.  With ``history`` a list, (t, state) is appended after
+    every sample that changed the state.
     """
+    xi = np.asarray(x).astype(np.int64)
+    rows = np.asarray(templates).astype(np.int64)
+    assert np.array_equal(xi, x) and np.array_equal(rows, templates)
     s, R, t0, l, anchor, partial = 0, 0.0, 0, 0, 0, []
     frames = []
-    for t, r in enumerate(pre_corr.tolist()):
+    for t, r in enumerate(np.asarray(pre_corr).tolist()):
         if s == 0:
             if r < tau_p:
                 continue
@@ -277,11 +297,11 @@ def oracle_scan(cleaned, pre_corr, templates, W, L, tau_p, history=None):
         elif r >= R:
             R, t0, l, anchor, partial = r, t, 0, t, []
         elif t - t0 == W:
-            corr = (templates @ cleaned[t - W + 1:t + 1]).tolist()
-            best, best_v = -1e300, 0
+            corr = (rows @ xi[t - W + 1:t + 1]).tolist()
+            best_v = 0
             for v, acc in enumerate(corr):
-                if acc > best:
-                    best, best_v = acc, v
+                if acc > corr[best_v]:
+                    best_v = v
             partial.append(best_v)
             l += 1
             t0 = t
@@ -297,15 +317,17 @@ def oracle_scan(cleaned, pre_corr, templates, W, L, tau_p, history=None):
 
 def oracle_decode(cleaned, config, history=None):
     """One-shot oracle frames as (sync_t, peak, symbols, complete), with a
-    stream that ends mid-frame giving that frame truncated."""
-    cleaned = np.asarray(cleaned, dtype=np.float64)
+    stream that ends mid-frame giving that frame truncated.  The peak is in
+    the cleaned domain, as DecodedFrame.peak_corr; the history in the
+    receiver's integer units."""
+    x = np.rint(SAMPLE_SCALE * np.asarray(cleaned, dtype=np.float64))
     frames, (s, R, _t0, l, anchor, partial) = oracle_scan(
-        cleaned, config.preamble_correlation(cleaned), config.templates,
-        config.samples_per_cycle, config.frame_symbols, config.tau_p, history,
+        x, exact_correlation(x, config.preamble), config.templates,
+        config.samples_per_cycle, config.frame_symbols, CORR_SCALE * config.tau_p, history,
     )
-    out = [(a, r, symbols, True) for a, r, symbols in frames]
+    out = [(a, r / CORR_SCALE, symbols, True) for a, r, symbols in frames]
     if s == 1 and l > 0:
-        out.append((anchor, R, partial, False))
+        out.append((anchor, R / CORR_SCALE, partial, False))
     return out
 
 
@@ -319,15 +341,15 @@ def as_tuples(frames):
     return [(f.sync_t, f.peak_corr, f.symbols, f.complete) for f in frames]
 
 
-def scan_matches_oracle(cleaned, pre, templates, W, L, tau, cuts=()):
+def scan_matches_oracle(x, pre, templates, W, L, tau, cuts=()):
     """The scan, resumed at each cut, against the one-shot oracle: the
     same frames, and the same state at every cut and at the end."""
     history = []
-    expected, final = oracle_scan(cleaned, pre, templates, W, L, tau, history)
+    expected, final = oracle_scan(x, pre, templates, W, L, tau, history)
     frames, state, start = [], None, 0
-    for cut in [*cuts, len(cleaned)]:
+    for cut in [*cuts, len(x)]:
         # indices stay local to the whole array, so a prefix resumes exactly
-        got, state = _receiver_scan(cleaned[:cut], pre[:cut], templates, W, L, tau, start, state)
+        got, state = _receiver_scan(x[:cut], pre[:cut], templates, W, L, tau, start, state)
         frames += [(a, r, tuple(symbols)) for a, r, symbols in got]
         assert state == oracle_state_at(history, cut)
         start = cut
@@ -341,16 +363,14 @@ def _random_case(seed: int):
     W, L, A = 6, 3, 4
     T = 600
     if seed % 2:
-        cleaned = rng.choice([-0.5, 0.5], size=T)
+        x = rng.choice([-5.0, 5.0], size=T)
     else:
-        cleaned = rng.uniform(-0.5, 0.5, size=T)
-    P = rng.choice([-0.5, 0.5], size=4 * W)
-    pre = np.full(T, -np.inf)
-    valid = np.correlate(cleaned, P, mode="valid")
-    pre[4 * W - 1:] = valid
+        x = rng.integers(-5, 6, size=T).astype(np.float64)
+    pre = exact_correlation(x, rng.choice([-1, 1], size=4 * W))
+    valid = pre[4 * W - 1:]
     tau = float(np.quantile(valid, 0.98)) if seed % 3 else float(valid.max()) + 1.0
-    templates = rng.uniform(-0.5, 0.5, size=(A, W))
-    return cleaned, pre, templates, W, L, tau
+    templates = rng.integers(-5, 6, size=(A, W)).astype(np.float64)
+    return x, pre, templates, W, L, tau
 
 
 def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
@@ -379,24 +399,23 @@ def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: in
 class TestScanAgainstOracle:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_streams(self, seed):
-        cleaned, pre, templates, W, L, tau = _random_case(seed)
-        T = len(cleaned)
+        x, pre, templates, W, L, tau = _random_case(seed)
+        T = len(x)
         cuts = (T // 3, T // 3 + 1, 2 * T // 3)
-        scan_matches_oracle(cleaned, pre, templates, W, L, tau, cuts)
+        scan_matches_oracle(x, pre, templates, W, L, tau, cuts)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ties_go_to_the_first_template(self, seed):
         # binary streams and templates give exact ties between templates
         rng = np.random.default_rng(100 + seed)
         W, L, A, T = 6, 4, 8, 600
-        cleaned = rng.choice([-0.5, 0.5], size=T)
-        templates = rng.choice([-0.5, 0.5], size=(A, W))
-        pre = np.full(T, -np.inf)
-        pre[4 * W - 1:] = np.correlate(cleaned, rng.choice([-0.5, 0.5], size=4 * W), mode="valid")
-        history = scan_matches_oracle(cleaned, pre, templates, W, L, 2.0)
+        x = rng.choice([-1.0, 1.0], size=T)
+        templates = rng.choice([-1.0, 1.0], size=(A, W))
+        pre = exact_correlation(x, rng.choice([-1, 1], size=4 * W))
+        history = scan_matches_oracle(x, pre, templates, W, L, 8.0)
         # states with symbols pending were set at decode instants
         decodes = [t for t, (_, _, _, l, _, _) in history if l]
-        top_two = [np.sort(templates @ cleaned[t - W + 1:t + 1])[-2:] for t in decodes]
+        top_two = [np.sort(templates @ x[t - W + 1:t + 1])[-2:] for t in decodes]
         assert sum(a == b for a, b in top_two) >= 5
 
     @pytest.mark.parametrize("W", [1, 5, 7])
@@ -405,12 +424,12 @@ class TestScanAgainstOracle:
         # every edge of the doubling search blocks
         T, tau = 160, 1.0
         rng = np.random.default_rng(W)
-        cleaned = rng.uniform(-0.5, 0.5, size=T)
-        templates = rng.uniform(-0.5, 0.5, size=(3, W))
+        x = rng.integers(-5, 6, size=T).astype(np.float64)
+        templates = rng.integers(-5, 6, size=(3, W)).astype(np.float64)
         for k in range(T):
             pre = np.full(T, -np.inf)
             pre[k] = tau
-            scan_matches_oracle(cleaned, pre, templates, W, 3, tau)
+            scan_matches_oracle(x, pre, templates, W, 3, tau)
 
     def test_single_frame_sync_and_peak(self):
         _, series = transmit("wide20", lead_windows=40)
@@ -476,6 +495,121 @@ class TestChunkingProperty:
             assert (s, R, t0 + g, l, anchor + g, partial) == oracle_state_at(history, cut)
         frames += demod.finish()
         assert as_tuples(frames) == expected
+
+
+def threshold_stream(name: str, scenario: str, power_dbm: float, seed: int, n_frames: int = 10):
+    """Cleaned capture of a run_stream stream at ED register 3 (-92 dBm):
+    frames of random payloads after a random lead-in, with fresh WiFi
+    traffic and ED measurement noise."""
+    config = make_config(name)
+    rng = np.random.default_rng(seed)
+    schedules = []
+    for _ in range(n_frames):
+        network_id = int(rng.integers(0, 1 << 32))
+        clusters = tuple(int(c) for c in rng.integers(0, 1 << 16, size=6))
+        schedules += build_frame(network_id, clusters, config.scheme).schedules()
+    wave = generate_waveform(config.csat, schedules)
+    wave = wave.with_lead_in(5 * int(rng.integers(0, 2 * config.samples_per_cycle)))
+    link = RadioLink.at_rx_power(power_dbm, ed_register=3)
+    busy = wave.tx if link.mean_rx_dbm() >= link.ed_threshold_dbm else np.zeros(wave.n_ticks, bool)
+    traffic = scenario_traffic(scenario, wave.tx, busy, rng)
+    series = sample_mac_states(
+        wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
+    )
+    return clean_signal(series)
+
+
+def tied_decisions(x, templates, history):
+    """(decisions, decisions whose two best templates tie) over the decode
+    instants in an oracle history."""
+    rows = templates.astype(np.int64)
+    W = templates.shape[1]
+    decodes = [t for t, (_, _, t0, _, anchor, _) in history if t == t0 != anchor]
+    if not decodes:
+        return 0, 0
+    windows = np.stack([x[t - W + 1:t + 1] for t in decodes]).astype(np.int64)
+    top_two = np.sort(windows @ rows.T, axis=1)[:, -2:]
+    return len(decodes), int(np.count_nonzero(top_two[:, 0] == top_two[:, 1]))
+
+
+class TestPreambleCorrelation:
+    @pytest.mark.parametrize("name", list(CONFIGS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_run_sums_equal_integer_correlate(self, name, data):
+        config = make_config(name)
+        N = config.preamble_len
+        T = data.draw(st.integers(0, 3 * N))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        x = np.random.default_rng(seed).integers(-5, 6, size=T).astype(np.float64)
+        expected = exact_correlation(x, config.preamble)
+        assert np.array_equal(config.preamble_correlation(x), expected)
+        # chunked as Demodulator.feed chunks it: each chunk after a carry of N samples
+        cuts = data.draw(st.lists(st.integers(1, max(1, T - 1)), max_size=6))
+        carry, prev, got = np.empty(0), 0, []
+        for cut in [*sorted({c for c in cuts if c < T}), T]:
+            buf = np.concatenate([carry, x[prev:cut]])
+            got.append(config.preamble_correlation(buf)[len(carry):])
+            carry, prev = buf[len(buf) - min(len(buf), N):], cut
+        assert np.array_equal(np.concatenate(got), expected)
+
+    def test_short_input_is_all_minus_infinity(self):
+        config = make_config("short12")
+        x = np.ones(config.preamble_len - 1)
+        assert np.all(config.preamble_correlation(x) == -np.inf)
+        assert config.preamble_correlation(np.empty(0)).shape == (0,)
+
+
+class TestExactDecisions:
+    def test_reversed_windows_and_templates_decide_alike(self):
+        # one sync, then every later cycle is a decode window on a fixed grid
+        config, cleaned, _, _ = oracle_capture("multi20-k3", 40)
+        x = np.rint(SAMPLE_SCALE * cleaned)
+        W, k = config.samples_per_cycle, config.preamble_len - 1
+        L = (len(x) - 1 - k) // W
+        pre = np.full(len(x), -np.inf)
+        pre[k] = 1.0
+        frames, _ = _receiver_scan(x, pre, config.templates, W, L, 1.0, 0, None)
+        reversed_x = x.copy()
+        reversed_x[k + 1:k + 1 + L * W] = x[k + 1:k + 1 + L * W].reshape(L, W)[:, ::-1].ravel()
+        flipped, _ = _receiver_scan(
+            reversed_x, pre, config.templates[:, ::-1], W, L, 1.0, 0, None
+        )
+        assert flipped == frames
+        history = []
+        expected, _ = oracle_scan(x, pre, config.templates, W, L, 1.0, history)
+        assert [(a, r, tuple(symbols)) for a, r, symbols in frames] == expected
+        n, ties = tied_decisions(x, config.templates, history)
+        assert n == L and ties >= 5
+
+    @pytest.mark.parametrize("name", ["wide20", "multi20-k3"])
+    def test_threshold_streams_match_the_exact_oracle(self, name):
+        config = make_config(name)
+        decisions = ties = 0
+        for scenario, power_dbm, seed in itertools.product(
+            ("background-high", "apdl-high", "background-light"), (-91.5, -92.0, -92.5), range(3)
+        ):
+            cleaned = threshold_stream(name, scenario, power_dbm, seed)
+            history = []
+            expected = oracle_decode(cleaned, config, history)
+            assert as_tuples(demodulate(cleaned, config)) == expected
+            n, t = tied_decisions(np.rint(SAMPLE_SCALE * cleaned), config.templates, history)
+            decisions += n
+            ties += t
+        # the streams hold many exact ties, each of them decided as the oracle does
+        assert ties >= 0.02 * decisions
+
+    def test_off_grid_input_decodes_as_its_rounding(self):
+        config, cleaned, expected, _ = oracle_capture("wide20", 40)
+        rng = np.random.default_rng(7)
+        near = cleaned + rng.uniform(-0.049, 0.049, size=len(cleaned))
+        assert as_tuples(demodulate(near, config)) == expected
+        far = cleaned + rng.uniform(-0.3, 0.3, size=len(cleaned))
+        rounded = np.rint(SAMPLE_SCALE * far) / SAMPLE_SCALE
+        assert not np.array_equal(rounded, cleaned)
+        demod = Demodulator(config)
+        chunked = [f for i in range(0, len(far), 700) for f in demod.feed(far[i:i + 700])]
+        assert chunked + demod.finish() == demodulate(rounded, config)
 
 
 class TestMetrics:

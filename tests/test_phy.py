@@ -198,7 +198,16 @@ class TestSampler:
         assert np.allclose(back.intf, series.intf, atol=1e-6)
         assert np.allclose(back.idle, series.idle, atol=1e-6)
 
-    @pytest.mark.parametrize("row", ["0.9,0.9,0,0", "1.5,0,0,-0.5"])
+    def test_csv_roundtrip_of_fractions_off_the_decimal_grid(self, tmp_path):
+        third = np.full(3, 1 / 3)
+        series = MacStateSeries(250, third, third.copy(), third.copy(), np.zeros(3))
+        path = tmp_path / "mac.csv"
+        series.to_csv(str(path))
+        assert "0.333333,0.333333,0.333333,0.000000" in path.read_text()
+        back = MacStateSeries.from_csv(str(path))
+        assert np.allclose(back.rx, series.rx, atol=1e-6)
+
+    @pytest.mark.parametrize("row", ["0.9,0.9,0,0", "1.5,0,0,-0.5", "0.333333,0.333333,0.333331,0"])
     def test_from_csv_rejects_fractions_that_are_no_partition(self, tmp_path, row):
         path = tmp_path / "mac.csv"
         path.write_text(f"t_us,idle,rx,tx,intf\n0,1,0,0,0\n250,{row}\n")
