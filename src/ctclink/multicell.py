@@ -10,8 +10,10 @@ The union of the decoded clusters' members is the proximity estimate.
 
 Grid-scale runs use the threshold decodability model: a field decodes when
 every station above the receive sensitivity belongs to the field's
-cluster.  A slow full-stack mode cross-checks selected points through the
-real waveform, MAC-state sampler, and demodulator.
+cluster.  One array kernel, ``decode_clusters``, applies that rule to a
+whole (points, cells) receive-power matrix; single locations go through
+the same kernel.  A slow full-stack mode cross-checks selected points
+through the real waveform, MAC-state sampler, and demodulator.
 """
 
 from __future__ import annotations
@@ -70,13 +72,15 @@ class Deployment:
     def n_cells(self) -> int:
         return len(self.stations)
 
-    @property
+    @cached_property
     def cell_ids(self) -> tuple[int, ...]:
         return tuple(bs.cell_id for bs in self.stations)
 
-    @property
+    @cached_property
     def positions_m(self) -> np.ndarray:
-        return np.array([[bs.x_m, bs.y_m] for bs in self.stations])
+        positions = np.array([[bs.x_m, bs.y_m] for bs in self.stations])
+        positions.flags.writeable = False
+        return positions
 
     def neighbors(self, cell_id: int) -> tuple[int, ...]:
         """Cells at lattice distance one."""
@@ -132,6 +136,7 @@ class ClusterConfiguration:
 
     slot: int
     clusters: dict[int, tuple[int, ...]]  # cluster_id -> member cells
+    _cluster_ids: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def _cell_to_cluster(self) -> dict[int, int]:
@@ -146,6 +151,19 @@ class ClusterConfiguration:
             return self._cell_to_cluster[cell_id]
         except KeyError:
             raise KeyError(f"cell {cell_id} is in no cluster of slot {self.slot}") from None
+
+    def cluster_ids(self, cell_ids: tuple[int, ...]) -> np.ndarray:
+        """Cluster ID of each cell in ``cell_ids``, -1 for a cell in no cluster.
+
+        The array for the last ``cell_ids`` asked for is kept, so repeated
+        single-location calls on one deployment build it once.
+        """
+        cached = self._cluster_ids
+        if cached is None or (cached[0] is not cell_ids and cached[0] != cell_ids):
+            ids = np.array([self._cell_to_cluster.get(c, -1) for c in cell_ids], dtype=np.int64)
+            ids.flags.writeable = False
+            self._cluster_ids = (cell_ids, ids)
+        return self._cluster_ids[1]
 
 
 @dataclass
@@ -256,29 +274,86 @@ def received_powers_dbm(
     return rx
 
 
+def decode_clusters(
+    rx_dbm: np.ndarray,
+    configurations: Sequence[ClusterConfiguration],
+    cell_ids: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold decodability of every cluster-ID field at many locations.
+
+    ``rx_dbm`` is (points, cells), columns in ``cell_ids`` order.  A slot's
+    field decodes when at least one cell is at or above SENSITIVITY_DBM and
+    every such cell is in one cluster of that slot: the min and max of
+    their (non-negative) cluster IDs are equal.  Returns the (points, slots)
+    decoded cluster IDs, -1 where the field does not decode, and the (points,)
+    flags of locations where anything is audible.  An audible cell that is
+    in no cluster of a slot raises KeyError, naming the first such point's
+    first such slot.
+    """
+    cell_ids = tuple(cell_ids)
+    rx = np.asarray(rx_dbm, dtype=float)
+    n_points = rx.shape[0]
+    point, cell = np.nonzero(rx >= SENSITIVITY_DBM)
+    if len(point) == 0:
+        return np.full((n_points, len(configurations)), -1), np.zeros(n_points, dtype=bool)
+    ids = np.array([c.cluster_ids(cell_ids) for c in configurations]).T[cell]
+    # np.nonzero is row-major, so each point's audible cells form one run
+    if n_points == 1:  # one row is one run
+        starts = np.zeros(1, dtype=np.intp)
+    else:
+        new_point = np.empty(len(point), dtype=bool)
+        new_point[0] = True
+        np.not_equal(point[1:], point[:-1], out=new_point[1:])
+        starts = np.flatnonzero(new_point)
+    lo = np.minimum.reduceat(ids, starts, axis=0)
+    if lo.min() < 0:
+        _raise_unclustered(ids < 0, point, cell, configurations, cell_ids)
+    hi = np.maximum.reduceat(ids, starts, axis=0)
+    lo[lo != hi] = -1
+    if len(starts) == n_points:  # every point audible, as a single audible point is
+        return lo, np.ones(n_points, dtype=bool)
+    decoded = np.full((n_points, len(configurations)), -1)
+    audible = np.zeros(n_points, dtype=bool)
+    decoded[point[starts]] = lo
+    audible[point[starts]] = True
+    return decoded, audible
+
+
+def _raise_unclustered(missing, point, cell, configurations, cell_ids) -> None:
+    """Raise the KeyError of the first point's first slot with an unclustered
+    audible cell, looking its audible cells up as one set, as the set-based
+    rule did, so that the same cell is named."""
+    at_first = point == point[missing.any(axis=1).argmax()]
+    slot = missing[at_first].any(axis=0).argmax()
+    for cell_id in {cell_ids[c] for c in cell[at_first]}:
+        configurations[slot].cluster_of(cell_id)
+
+
+def _observation(
+    configurations: Sequence[ClusterConfiguration], decoded_row: np.ndarray, audible: bool
+) -> ProximityObservation:
+    pairs = frozenset(
+        (config.slot, cluster_id)
+        for config, cluster_id in zip(configurations, decoded_row.tolist())
+        if cluster_id >= 0
+    )
+    return ProximityObservation(pairs, bool(audible))
+
+
 def decodable_fields(
     rx_dbm: np.ndarray,
     configurations: Sequence[ClusterConfiguration],
     cell_ids: Sequence[int],
 ) -> ProximityObservation:
-    """Threshold decodability at one location.
+    """Threshold decodability at one location (``decode_clusters`` on one row).
 
-    A cluster-ID field decodes when at least one member is at or above
-    SENSITIVITY_DBM and no station outside the cluster is.  The network-ID
-    field decodes whenever anything is audible, since every station
-    transmits it identically.
+    The network-ID field decodes whenever anything is audible, since every
+    station transmits it identically.
     """
-    rx = np.asarray(rx_dbm, dtype=float)
-    above = {cid for cid, p in zip(cell_ids, rx) if p >= SENSITIVITY_DBM}
-    if not above:
-        return ProximityObservation(frozenset(), False)
-    pairs = set()
-    for config in configurations:
-        ids = {config.cluster_of(c) for c in above}
-        if len(ids) == 1:
-            cluster_id = ids.pop()
-            pairs.add((config.slot, cluster_id))
-    return ProximityObservation(frozenset(pairs), True)
+    decoded, audible = decode_clusters(
+        np.asarray(rx_dbm, dtype=float)[None, :], configurations, cell_ids
+    )
+    return _observation(configurations, decoded[0], audible[0])
 
 
 def observation_at(
@@ -347,11 +422,14 @@ def evaluate_points(
         configurations, codebook = build_cluster_configurations(dep)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     rx = received_powers_dbm(dep, pts, shadowing=shadowing)
-    counts = np.zeros(len(pts), dtype=int)
-    for i in range(len(pts)):
-        obs = decodable_fields(rx[i], configurations, dep.cell_ids)
-        counts[i] = len(estimate_proximity(obs, codebook))
-    return GridResult(pts, counts, best_sinr_db(rx))
+    decoded, _ = decode_clusters(rx, configurations, dep.cell_ids)
+    # a grid has few distinct decoded rows; estimate each one once
+    rows, first, inverse = np.unique(decoded, axis=0, return_index=True, return_inverse=True)
+    sizes = np.zeros(len(rows), dtype=int)
+    # in order of first occurrence, so a codebook miss names the first point's pair
+    for r in np.argsort(first):
+        sizes[r] = len(estimate_proximity(_observation(configurations, rows[r], True), codebook))
+    return GridResult(pts, sizes[inverse.reshape(-1)], best_sinr_db(rx))
 
 
 def grid_evaluate(
@@ -387,13 +465,16 @@ def full_stack_check(
     scheme: CodingScheme | None = None,
     csat: CsatConfig | None = None,
     network_id: int = 0x0A000001,
+    shadowing: ShadowingField | None = None,
 ) -> list[dict]:
     """Cross-check the threshold model against the real receiver chain.
 
     Every station transmits its own frame (shared network ID, its six
     per-slot cluster IDs) on a time-aligned duty cycle; the receiver's ED
     threshold is set to SENSITIVITY_DBM so audibility matches the model.
-    Returns one record per point with both observations and a match flag.
+    A shadowing field enters both sides as a per-link tx-power offset,
+    ``shadowing.values_at(point)``.  Returns one record per point with both
+    observations and a match flag.
     """
     scheme = scheme or get_scheme("wide20")
     csat = csat or CsatConfig(40, 20)
@@ -411,15 +492,16 @@ def full_stack_check(
     config = ReceiverConfig(scheme, csat)
     results = []
     for point in np.atleast_2d(np.asarray(points, dtype=float)):
-        rx = received_powers_dbm(dep, point[None, :])[0]
+        rx = received_powers_dbm(dep, point[None, :], shadowing=shadowing)[0]
         analytic = decodable_fields(rx, configurations, dep.cell_ids)
+        offsets = np.zeros(dep.n_cells) if shadowing is None else shadowing.values_at(point)[0]
         links = [
             RadioLink(
                 distance_m=max(float(np.hypot(bs.x_m - point[0], bs.y_m - point[1])), 1e-3),
-                tx_power_dbm=bs.tx_power_dbm,
+                tx_power_dbm=bs.tx_power_dbm + float(offset),
                 ed_threshold_dbm=SENSITIVITY_DBM,
             )
-            for bs in dep.stations
+            for bs, offset in zip(dep.stations, offsets)
         ]
         series = sample_mac_states([waveforms[bs.cell_id] for bs in dep.stations], links)
         decoded = [f for f in demodulate(series, config) if f.complete]

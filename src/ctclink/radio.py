@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 # thermal noise over 20 MHz plus the 6 dB receiver noise figure
 NOISE_FLOOR_DBM = -95.0
@@ -103,6 +102,20 @@ def dbm_to_mw(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0)
 
 
+def _pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of an (n, 2) array.
+
+    sqrt(dx*dx + dy*dy), squared and summed in place so that only two
+    (n, n) arrays are alive at once.
+    """
+    dx = np.subtract.outer(coords[:, 0], coords[:, 0])
+    dy = np.subtract.outer(coords[:, 1], coords[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
+
+
 class ShadowingField:
     """Spatially correlated log-normal shadowing, one layer per source.
 
@@ -134,7 +147,7 @@ class ShadowingField:
             raise ValueError("correlated field needs a random generator")
         gx, gy = np.meshgrid(self._xs, self._ys, indexing="ij")
         coords = np.column_stack([gx.ravel(), gy.ravel()])
-        cov = sigma_db**2 * np.exp(-cdist(coords, coords) / SHADOWING_DECORRELATION_M)
+        cov = sigma_db**2 * np.exp(-_pairwise_distances(coords) / SHADOWING_DECORRELATION_M)
         cov[np.diag_indices_from(cov)] += 1e-9  # numerical jitter for the factorization
         chol = np.linalg.cholesky(cov)
         draws = chol @ rng.standard_normal((len(coords), n_sources))

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import ctclink
 from ctclink import x2
 from ctclink.cli import build_parser, main
 from ctclink.codec import default_schemes
@@ -15,6 +19,17 @@ from ctclink.multicell import build_cluster_configurations, build_hex_deployment
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ctclink.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, ctclink.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestParsing:
@@ -173,7 +188,10 @@ class TestGoldenOutputs:
         (["multicell", "--stations", "19", "--sigmas", "0", "--step", "10", "--seed", "3",
           "--out-prefix", "out"], "out_summary.csv",
          "cdc372a18e352c3b35625960d0bcd3207d0d26ca923e2a8ebf3490315fbd915a"),
-    ], ids=["analytics", "link-sweep", "multicell-summary"])
+        (["multicell", "--stations", "19", "--sigmas", "0", "--step", "10", "--seed", "3",
+          "--out-prefix", "out"], "out_sigma0.csv",
+         "7869877ce7e89cfee21452c42ab525eb9c4b628635f38a726c9ff5ffb1a68d7f"),
+    ], ids=["analytics", "link-sweep", "multicell-summary", "multicell-grid"])
     def test_output_digest(self, tmp_path, monkeypatch, argv, output, digest):
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 0

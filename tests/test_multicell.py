@@ -1,29 +1,35 @@
 """Hex deployment, overlapping clustering, and proximity estimation tests."""
 
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctclink.multicell import (
     Codebook,
     CodebookLookupError,
     Deployment,
     GridResult,
+    ProximityObservation,
     UnsupportedTopologyError,
     best_sinr_db,
     build_cluster_configurations,
     build_hex_deployment,
     decodable_fields,
+    decode_clusters,
     estimate_proximity,
     evaluate_points,
     example_codebook,
     full_stack_check,
     grid_evaluate,
     observation_at,
+    received_powers_dbm,
 )
-from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM
+from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, ShadowingField
 
 
 def mutually_adjacent_triples(dep):
@@ -37,6 +43,56 @@ def mutually_adjacent_triples(dep):
         ):
             triples.append(frozenset((a, b, c)))
     return triples
+
+
+def ref_decodable_fields(rx_dbm, configurations, cell_ids):
+    """Reference: the threshold rule one location at a time, over sets."""
+    above = {cid for cid, p in zip(cell_ids, rx_dbm) if p >= SENSITIVITY_DBM}
+    if not above:
+        return ProximityObservation(frozenset(), False)
+    pairs = set()
+    for config in configurations:
+        ids = {config.cluster_of(c) for c in above}
+        if len(ids) == 1:
+            pairs.add((config.slot, ids.pop()))
+    return ProximityObservation(frozenset(pairs), True)
+
+
+def ref_evaluate_points(dep, points, configurations, codebook, shadowing=None):
+    """Reference: the per-point loop of the grid evaluation."""
+    rx = received_powers_dbm(dep, points, shadowing=shadowing)
+    counts = np.zeros(len(rx), dtype=int)
+    for i in range(len(rx)):
+        obs = ref_decodable_fields(rx[i], configurations, dep.cell_ids)
+        counts[i] = len(estimate_proximity(obs, codebook))
+    return counts
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return "ok", fn(*args)
+    except KeyError as exc:
+        return type(exc), str(exc)
+
+
+class ClampedField:
+    """A shadowing field that takes points outside its bounds to the nearest
+    bound, where ``ShadowingField.values_at`` would extrapolate."""
+
+    def __init__(self, field, bounds):
+        self.field = field
+        self.low = np.array(bounds[0::2])
+        self.high = np.array(bounds[1::2])
+
+    def values_at(self, points):
+        return self.field.values_at(np.clip(np.atleast_2d(points), self.low, self.high))
+
+
+@functools.lru_cache(maxsize=None)
+def clustered(count):
+    dep = build_hex_deployment(count)
+    return dep, *build_cluster_configurations(dep)
 
 
 class TestDeployment:
@@ -211,6 +267,102 @@ class TestDecodability:
             assert len(slots) == len(set(slots))
 
 
+class TestKernelMatchesReference:
+    """The array kernel against the per-point loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(count=st.integers(1, 200), sigma=st.sampled_from([0.0, 6.0, 12.0]),
+           n_inside=st.integers(0, 40), n_far=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_grid_and_single_points(self, count, sigma, n_inside, n_far, seed):
+        dep, configurations, codebook = clustered(count)
+        rng = np.random.default_rng(seed)
+        # inside: a 100 m box around one station, which the shadowing field covers
+        cx, cy = dep.positions_m[rng.integers(count)]
+        inside = rng.uniform(-50.0, 50.0, size=(n_inside, 2)) + (cx, cy)
+        angle = rng.uniform(0.0, 2 * np.pi, n_far)
+        far = rng.uniform(10e3, 20e3, n_far)[:, None] * np.column_stack(
+            [np.cos(angle), np.sin(angle)]
+        )
+        points = np.concatenate([inside, far]).reshape(-1, 2)
+        shadowing = None
+        if sigma > 0:
+            bounds = (cx - 50, cx + 50, cy - 50, cy + 50)
+            shadowing = ClampedField(ShadowingField(sigma, count, bounds, rng=rng), bounds)
+        got = evaluate_points(dep, points, configurations, codebook, shadowing)
+        want = ref_evaluate_points(dep, points, configurations, codebook, shadowing)
+        assert got.n_detected.tolist() == want.tolist()
+        rx = received_powers_dbm(dep, points, shadowing=shadowing)
+        for row in rx:
+            assert decodable_fields(row, configurations, dep.cell_ids) == ref_decodable_fields(
+                row, configurations, dep.cell_ids
+            )
+        assert not got.n_detected[n_inside:].any()  # nothing audible far out
+
+    @settings(max_examples=100, deadline=None)
+    @given(count=st.sampled_from([1, 3, 7, 19]), data=st.data())
+    def test_powers_at_the_sensitivity_edge(self, count, data):
+        dep, configurations, codebook = clustered(count)
+        level = st.sampled_from([
+            SENSITIVITY_DBM, SENSITIVITY_DBM - 1e-9, np.nextafter(SENSITIVITY_DBM, 0.0),
+            SENSITIVITY_DBM - 30.0, SENSITIVITY_DBM + 10.0,
+        ])
+        rows = data.draw(st.lists(st.lists(level, min_size=count, max_size=count),
+                                  min_size=1, max_size=12))
+        decoded, audible = decode_clusters(np.array(rows), configurations, dep.cell_ids)
+        for row, ids, heard in zip(rows, decoded.tolist(), audible):
+            want = ref_decodable_fields(row, configurations, dep.cell_ids)
+            assert decodable_fields(row, configurations, dep.cell_ids) == want
+            pairs = {(c.slot, i) for c, i in zip(configurations, ids) if i >= 0}
+            assert (pairs, heard) == (want.pairs, want.network_decoded)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(1, 30))
+    def test_mismatched_codebook_raises_like_reference(self, seed, n_points):
+        # the published example carries only clusters 4 and 5
+        dep, configurations, _ = clustered(7)
+        points = np.random.default_rng(seed).uniform(-80.0, 80.0, size=(n_points, 2))
+        book = example_codebook()
+        got = outcome(lambda: evaluate_points(dep, points, configurations, book).n_detected.tolist())
+        want = outcome(lambda: ref_evaluate_points(dep, points, configurations, book).tolist())
+        assert got == want
+
+    def test_mismatched_codebook_raises(self):
+        dep, configurations, _ = clustered(7)
+        with pytest.raises(CodebookLookupError, match="no cluster 0 in configuration slot 1"):
+            evaluate_points(dep, [(1.0, 0.0)], configurations, example_codebook())
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_points=st.integers(1, 30))
+    def test_unclustered_cell_raises_like_reference(self, seed, n_points):
+        # seven-cell configurations on a 19-cell deployment: cells 7-18 are in no cluster
+        dep = build_hex_deployment(19)
+        _, configurations, codebook = clustered(7)
+        points = np.random.default_rng(seed).uniform(-120.0, 120.0, size=(n_points, 2))
+        got = outcome(lambda: evaluate_points(dep, points, configurations, codebook).n_detected.tolist())
+        want = outcome(lambda: ref_evaluate_points(dep, points, configurations, codebook).tolist())
+        assert got == want
+        rx = received_powers_dbm(dep, points)
+        for row in rx:
+            assert outcome(decodable_fields, row, configurations, dep.cell_ids) == outcome(
+                ref_decodable_fields, row, configurations, dep.cell_ids
+            )
+
+    def test_unclustered_cell_raises(self):
+        dep = build_hex_deployment(19)
+        _, configurations, _ = clustered(7)
+        with pytest.raises(KeyError, match="cell 7 is in no cluster of slot 1"):
+            observation_at(dep, dep.positions_m[7], configurations)
+        # an unclustered cell that is not audible is never looked up
+        assert observation_at(dep, (0.0, 0.0), configurations).network_decoded
+
+    def test_hundred_station_grid(self):
+        dep, configurations, codebook = clustered(100)
+        result = grid_evaluate(dep, grid_step_m=4.0)
+        want = ref_evaluate_points(dep, result.points_m, configurations, codebook)
+        assert result.n_detected.tolist() == want.tolist()
+
+
 class TestGridEvaluation:
     def test_counts_at_characteristic_points(self):
         dep = build_hex_deployment(19)
@@ -327,3 +479,17 @@ class TestFullStack:
         assert records[1]["stack_pairs"] == {(1, 0)}
         assert records[2]["stack_pairs"] == set()
         assert not records[2]["stack_network"]
+
+    def test_shadowed_points_match_receiver_chain(self):
+        dep = build_hex_deployment(19)
+        half = 70.0
+        shadowing = ShadowingField(
+            6.0, dep.n_cells, (-half, half, -half, half), rng=np.random.default_rng([3, 60])
+        )
+        points = np.random.default_rng(4).uniform(-half, half, size=(20, 2))
+        records = full_stack_check(dep, points, shadowing=shadowing)
+        assert all(r["match"] for r in records)
+        # the field moved the observations: shadowing is applied, not ignored
+        flat = full_stack_check(dep, points)
+        assert [r["stack_pairs"] for r in records] != [r["stack_pairs"] for r in flat]
+        assert any(r["stack_pairs"] for r in records)
