@@ -170,13 +170,25 @@ class TestAnalyticsCommand:
         assert "peak rate 750" in capsys.readouterr().out
 
 
+# theta=3 link-sweep points around its -92 dBm threshold, one 10-frame repetition
+NOISY_POINTS = ["link-sweep", "--theta", "3", "--powers=-92.5,-92,-91.5", "--repetitions", "1",
+                "--frames", "10", "--seed", "7", "--out", "out.csv"]
+# both registers' default power ladders: sensed and unsensed Poisson streams
+ED_SWEEP = ["ed-sweep", "--scenario", "apdl-light", "--thetas", "3,28", "--repetitions", "1",
+            "--frames", "3", "--seed", "7"]
+
+
 class TestGoldenOutputs:
     """Seeded outputs byte for byte, as sha256 digests.
 
-    The inputs keep the digests independent of the BLAS build and the CPU:
-    no shadowing field (no Cholesky factorization), receive powers more
-    than 8 sigma of ED noise from the -62 dBm threshold (no noise drawn),
-    and a clear channel (no tied template decisions).
+    No input uses a shadowing field, so no digest depends on the LAPACK
+    build (Cholesky factorization).  The first four draw no ED noise and
+    decide no tied templates.  The noisy ones sit at the -92 dBm
+    threshold of register 3 under WiFi traffic, so they draw ED noise and
+    decide tied templates: background-high has SER 0.5756 at -92.5 dBm and
+    apdl-high FER 0.3 at -91.5 dBm.  The receiver decides on integers, so
+    no BLAS is involved, but these digests also depend on numpy's normal
+    generator; they were taken with numpy 2.4.6.
     """
 
     @pytest.mark.parametrize("argv, output, digest", [
@@ -191,7 +203,19 @@ class TestGoldenOutputs:
         (["multicell", "--stations", "19", "--sigmas", "0", "--step", "10", "--seed", "3",
           "--out-prefix", "out"], "out_sigma0.csv",
          "7869877ce7e89cfee21452c42ab525eb9c4b628635f38a726c9ff5ffb1a68d7f"),
-    ], ids=["analytics", "link-sweep", "multicell-summary", "multicell-grid"])
+        ([*NOISY_POINTS, "--scenario", "background-high"], "out.csv",
+         "3f8f0cc037725eca215f6625701f366e289781902d1cedcfa936c0427cc32276"),
+        ([*NOISY_POINTS, "--scenario", "apdl-high"], "out.csv",
+         "22073cba25e614079024c6d34ad0971674030f604da0f7fd7cec7024d380258a"),
+        ([*NOISY_POINTS, "--scenario", "background-light"], "out.csv",
+         "1d62108e36663c2f6d71b7f7f5af9506f59d9dcb23d539e0e639b89bae314956"),
+        (ED_SWEEP, "ed_sweep.csv",
+         "2fed0dc0b8d9747a5265413eec6a87d8442d72eb101f89ac3968c14e0691c4bc"),
+        (ED_SWEEP, "ed_knees.csv",
+         "1764f33618a0bf51d581d667c8d4528c8fa63c7e2cb0b1e63aaf7ced0d70bf68"),
+    ], ids=["analytics", "link-sweep", "multicell-summary", "multicell-grid",
+            "noisy-background-high", "noisy-apdl-high", "noisy-background-light",
+            "ed-sweep", "ed-sweep-knees"])
     def test_output_digest(self, tmp_path, monkeypatch, argv, output, digest):
         monkeypatch.chdir(tmp_path)
         assert run_cli(*argv) == 0

@@ -680,6 +680,24 @@ class TestMacStateDigests:
     They pin the draw order of the traffic generators and the sampler.
     """
 
+    @staticmethod
+    def digest(scenario: str, sensed: bool) -> str:
+        scheme = SCHEMES["wide20"]
+        schedules = []
+        for network_id in (0x0A00002A, 0x12345678, 0x7FFFFFFF):
+            schedules += build_frame(network_id, (1, 2, 3, 4, 5, 6), scheme).schedules()
+        wave = generate_waveform(CsatConfig(40, 20), schedules).with_lead_in(7)
+        link = link_at(-60.5, ed_register=28)
+        rng = np.random.default_rng(7)
+        busy = wave.tx if sensed else np.zeros(wave.n_ticks, dtype=bool)
+        traffic = scenario_traffic(scenario, wave.tx, busy, rng)
+        series = sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
+        h = hashlib.sha256()
+        for arr in (series.idle, series.rx, series.tx, series.intf):
+            h.update(arr.tobytes())
+        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+        return h.hexdigest()
+
     @pytest.mark.parametrize("scenario, digest", [
         ("clear",
          "28559742a0e95003963de17668140c1b5231560cd797164d609193248d596d3c"),
@@ -693,17 +711,15 @@ class TestMacStateDigests:
          "022b6b3da44b09a8948836b184b8454bf9c119a4369a362fcfed1f3f5deab40c"),
     ])
     def test_digest(self, scenario, digest):
-        scheme = SCHEMES["wide20"]
-        schedules = []
-        for network_id in (0x0A00002A, 0x12345678, 0x7FFFFFFF):
-            schedules += build_frame(network_id, (1, 2, 3, 4, 5, 6), scheme).schedules()
-        wave = generate_waveform(CsatConfig(40, 20), schedules).with_lead_in(7)
-        link = link_at(-60.5, ed_register=28)
-        rng = np.random.default_rng(7)
-        traffic = scenario_traffic(scenario, wave.tx, wave.tx, rng)
-        series = sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
-        h = hashlib.sha256()
-        for arr in (series.idle, series.rx, series.tx, series.intf):
-            h.update(arr.tobytes())
-        h.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
-        assert h.hexdigest() == digest
+        # the WiFi sender defers to the LTE transmissions
+        assert self.digest(scenario, sensed=True) == digest
+
+    @pytest.mark.parametrize("scenario, digest", [
+        ("background-light",
+         "e4ec50131dbc1af0cbf6a314d7942089a7f2e5db8b3dfce71477b1cf97bb0d38"),
+        ("apdl-light",
+         "5a4f9c6615c36f9324527d3223d810c2abf3d7bd7f96ff05dfd1dfad774b2e27"),
+    ])
+    def test_unsensed_digest(self, scenario, digest):
+        # the all-False busy mask of a stream below the ED threshold
+        assert self.digest(scenario, sensed=False) == digest
