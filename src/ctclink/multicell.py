@@ -82,6 +82,12 @@ class Deployment:
         positions.flags.writeable = False
         return positions
 
+    @cached_property
+    def tx_powers_dbm(self) -> np.ndarray:
+        powers = np.array([bs.tx_power_dbm for bs in self.stations])
+        powers.flags.writeable = False
+        return powers
+
     def neighbors(self, cell_id: int) -> tuple[int, ...]:
         """Cells at lattice distance one."""
         if not self.axial:
@@ -265,10 +271,9 @@ def received_powers_dbm(
     """(n_points, n_cells) receive power per station, optionally shadowed."""
     pathloss = pathloss or PathlossModel()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    delta = pts[:, None, :] - dep.positions_m[None, :, :]
-    dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), 1e-3)
-    tx = np.array([bs.tx_power_dbm for bs in dep.stations])
-    rx = tx[None, :] - pathloss.loss_db(dist)
+    cell_x, cell_y = dep.positions_m.T
+    dist = np.maximum(np.hypot(pts[:, :1] - cell_x, pts[:, 1:] - cell_y), 1e-3)
+    rx = dep.tx_powers_dbm - pathloss.loss_db(dist)
     if shadowing is not None:
         rx = rx + shadowing.values_at(pts)
     return rx

@@ -287,6 +287,21 @@ def poisson_traffic(
     or after t outside the busy mask.  Frames that would start past the
     end are dropped.  The draws are one poisson (the frame count) and one
     integers call (the arrival ticks), in that order.
+
+    nf is monotone, so s_i = max(c_i, g(s_{i-1})) with c_i = nf(a_i) and
+    g(x) = nf(x + F).  The starts are found in rounds of array operations
+    on lower bounds e_i, which start at c_i.  A round takes the Lindley
+    closed form t_i = iF + max_{j<=i}(e_j - jF) of t_i = max(e_i,
+    t_{i-1} + F); since g(x) >= x + F, t stays a lower bound of s.  Where
+    g(t_{i-1}) > t_i, the round raises e_i to g(t_{i-1}); where no arrival
+    needs raising, t is s.  Every start before the first raised one is
+    final, and so is that one, so the next round works from there on.
+    Without busy runs one round is exact; a sensed light stream takes a
+    few.  An overloaded queue can need about one round per busy run it
+    crosses, so once a round fails to halve the number of arrivals it
+    raises, the rest is walked one arrival at a time from the first start
+    that is not final.  That bounds the worst case to a few rounds plus the
+    walk.
     """
     n_ticks = len(lte_envelope)
     frame_ticks = max(1, round(frame_us / RESOLUTION_US))
@@ -294,17 +309,45 @@ def poisson_traffic(
     n_frames = rng.poisson(rate_fps * duration_s)
     arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
     busy_starts, busy_ends = _runs(busy_mask)
-    starts = []
-    free_at = 0
-    for arr in arrivals.tolist():
-        start = arr if arr > free_at else free_at
-        run = bisect_right(busy_starts, start) - 1
-        if run >= 0 and start < busy_ends[run]:
-            start = busy_ends[run]
-        if start >= n_ticks:
+    run_starts = np.asarray(busy_starts, dtype=np.int64)
+    # end of the last busy run starting at or before a tick; 0 before the first
+    run_ends = np.asarray([0] + busy_ends, dtype=np.int64)
+
+    def next_free(t: np.ndarray) -> np.ndarray:
+        return np.maximum(t, run_ends[np.searchsorted(run_starts, t, side="right")])
+
+    starts = next_free(arrivals)
+    offsets = np.arange(len(starts), dtype=np.int64) * frame_ticks
+    final = 0  # starts before this index are exact
+    raised_before = len(starts)
+    while final < len(starts):
+        steps = offsets[:len(starts) - final]
+        lindley = np.maximum.accumulate(starts[final:] - steps) + steps
+        # a lower bound at or past the end drops the frame and all after it
+        lindley = lindley[:np.searchsorted(lindley, n_ticks)]
+        starts = starts[:final + len(lindley)]
+        starts[final:] = lindley
+        queued = next_free(lindley[:-1] + frame_ticks)
+        raised = np.flatnonzero(queued > lindley[1:])
+        if not raised.size:
             break
-        starts.append(start)
-        free_at = start + frame_ticks
+        starts[final + 1 + raised] = queued[raised]
+        final += 1 + int(raised[0])
+        if 2 * raised.size > raised_before:
+            walked = []
+            free_at = int(starts[final - 1]) + frame_ticks
+            for arr in arrivals[final:len(starts)].tolist():
+                start = arr if arr > free_at else free_at
+                run = bisect_right(busy_starts, start) - 1
+                if run >= 0 and start < busy_ends[run]:
+                    start = busy_ends[run]
+                if start >= n_ticks:
+                    break
+                walked.append(start)
+                free_at = start + frame_ticks
+            starts = np.concatenate([starts[:final], np.asarray(walked, dtype=np.int64)])
+            break
+        raised_before = raised.size
     return _paint_frames(starts, frame_ticks, kind, lte_envelope)
 
 

@@ -154,14 +154,20 @@ class ShadowingField:
         self._values = draws.reshape(nx, ny, n_sources)
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
-        """(n_points, n_sources) shadowing in dB at arbitrary locations."""
+        """(n_points, n_sources) shadowing in dB at arbitrary locations.
+
+        A point outside the anchor grid takes the value at the nearest point
+        of the grid's edge, so the field stays within its anchors' range.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        ix = np.clip(np.searchsorted(self._xs, pts[:, 0]) - 1, 0, len(self._xs) - 2)
-        iy = np.clip(np.searchsorted(self._ys, pts[:, 1]) - 1, 0, len(self._ys) - 2)
+        px = np.clip(pts[:, 0], self._xs[0], self._xs[-1])
+        py = np.clip(pts[:, 1], self._ys[0], self._ys[-1])
+        ix = np.clip(np.searchsorted(self._xs, px) - 1, 0, len(self._xs) - 2)
+        iy = np.clip(np.searchsorted(self._ys, py) - 1, 0, len(self._ys) - 2)
         x0, x1 = self._xs[ix], self._xs[ix + 1]
         y0, y1 = self._ys[iy], self._ys[iy + 1]
-        wx = ((pts[:, 0] - x0) / (x1 - x0))[:, None]
-        wy = ((pts[:, 1] - y0) / (y1 - y0))[:, None]
+        wx = ((px - x0) / (x1 - x0))[:, None]
+        wy = ((py - y0) / (y1 - y0))[:, None]
         v00 = self._values[ix, iy]
         v10 = self._values[ix + 1, iy]
         v01 = self._values[ix, iy + 1]

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from ctclink.multicell import (
     observation_at,
     received_powers_dbm,
 )
-from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, ShadowingField
+from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, PathlossModel, ShadowingField
 
 
 def mutually_adjacent_triples(dep):
@@ -76,19 +77,6 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-class ClampedField:
-    """A shadowing field that takes points outside its bounds to the nearest
-    bound, where ``ShadowingField.values_at`` would extrapolate."""
-
-    def __init__(self, field, bounds):
-        self.field = field
-        self.low = np.array(bounds[0::2])
-        self.high = np.array(bounds[1::2])
-
-    def values_at(self, points):
-        return self.field.values_at(np.clip(np.atleast_2d(points), self.low, self.high))
-
-
 @functools.lru_cache(maxsize=None)
 def clustered(count):
     dep = build_hex_deployment(count)
@@ -127,6 +115,27 @@ class TestDeployment:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_hex_deployment(0)
+
+    def test_received_powers_match_the_difference_array(self):
+        # the (points, cells, 2) difference formula that the hypot over
+        # per-axis differences replaced, on stations of unequal tx power
+        hexes = build_hex_deployment(100)
+        dep = Deployment(
+            tuple(replace(bs, tx_power_dbm=10.0 + bs.cell_id % 7) for bs in hexes.stations),
+            hexes.spacing_m,
+        )
+        rng = np.random.default_rng(4)
+        points = np.concatenate([rng.uniform(-150.0, 150.0, size=(500, 2)), dep.positions_m,
+                                 [(1e4, -2e4)]])
+        delta = points[:, None, :] - dep.positions_m[None, :, :]
+        dist = np.maximum(np.hypot(delta[..., 0], delta[..., 1]), 1e-3)
+        tx = np.array([bs.tx_power_dbm for bs in dep.stations])
+        want = tx[None, :] - PathlossModel().loss_db(dist)
+        assert np.array_equal(received_powers_dbm(dep, points), want)
+        shadowing = ShadowingField(6.0, dep.n_cells, (-150, 150, -150, 150),
+                                   rng=np.random.default_rng(5))
+        assert np.array_equal(received_powers_dbm(dep, points, shadowing=shadowing),
+                              want + shadowing.values_at(points))
 
 
 class TestClustering:
@@ -288,7 +297,7 @@ class TestKernelMatchesReference:
         shadowing = None
         if sigma > 0:
             bounds = (cx - 50, cx + 50, cy - 50, cy + 50)
-            shadowing = ClampedField(ShadowingField(sigma, count, bounds, rng=rng), bounds)
+            shadowing = ShadowingField(sigma, count, bounds, rng=rng)
         got = evaluate_points(dep, points, configurations, codebook, shadowing)
         want = ref_evaluate_points(dep, points, configurations, codebook, shadowing)
         assert got.n_detected.tolist() == want.tolist()

@@ -5,12 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctclink import phy
 from ctclink.codec import build_frame, default_schemes, encode_symbol, preamble_schedules
 from ctclink.experiments import scenario_traffic
 from ctclink.phy import (
@@ -359,6 +361,15 @@ def _punctured_lte() -> np.ndarray:
 PUNCTURED_LTE = _punctured_lte()
 
 
+def _short_runs(n_ticks: int) -> np.ndarray:
+    """Busy runs of 1-3 ticks between idle runs of 1-3 ticks, shorter than most frames."""
+    lengths = np.random.default_rng(3).integers(1, 4, size=n_ticks)
+    return np.repeat(np.arange(n_ticks) % 2 == 0, lengths)[:n_ticks]
+
+
+SHORT_RUNS = _short_runs(len(PUNCTURED_LTE))
+
+
 def busy_masks(lte: np.ndarray) -> dict[str, np.ndarray]:
     tail = lte.copy()
     tail[-max(1, len(lte) // 7):] = True
@@ -369,6 +380,7 @@ def busy_masks(lte: np.ndarray) -> dict[str, np.ndarray]:
         "tail": tail,  # busy through the last tick
         # a sender that defers to a source other than the sampled LTE cell
         "shifted": np.roll(lte, 400),
+        "short": SHORT_RUNS[:len(lte)],
     }
 
 
@@ -380,7 +392,7 @@ def assert_same_traffic(got, want, rng_got, rng_want):
 
 
 n_ticks_st = st.integers(1, len(PUNCTURED_LTE))
-busy_st = st.sampled_from(["lte", "clear", "all", "tail", "shifted"])
+busy_st = st.sampled_from(["lte", "clear", "all", "tail", "shifted", "short"])
 kind_st = st.sampled_from(["rx", "tx"])
 frame_us_st = st.one_of(
     st.floats(10.0, 6000.0),
@@ -400,6 +412,41 @@ class TestTrafficMatchesReference:
         got = poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_got)
         want = ref_poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_want)
         assert_same_traffic(got, want, rng_got, rng_want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_ticks=st.integers(20_000, len(PUNCTURED_LTE)),
+           busy=st.sampled_from(["lte", "tail", "shifted", "short"]), kind=kind_st,
+           load=st.sampled_from([0.25, 0.5, 0.9, 1.5, 4.0]),
+           frame_us=st.floats(100.0, 1000.0), seed=st.integers(0, 2**32 - 1))
+    def test_poisson_loads(self, n_ticks, busy, kind, load, frame_us, seed):
+        # arrivals at a share of the idle ticks' capacity: light queues settle in
+        # a few rounds, overloaded ones leave them for the per-arrival walk
+        lte = PUNCTURED_LTE[:n_ticks]
+        mask = busy_masks(lte)[busy]
+        frame_ticks = max(1, round(frame_us / RESOLUTION_US))
+        rate_fps = load * np.count_nonzero(~mask) / frame_ticks / (n_ticks * RESOLUTION_US / 1e6)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_got)
+        want = ref_poisson_traffic(lte, mask, rate_fps, frame_us, kind, rng_want)
+        assert_same_traffic(got, want, rng_got, rng_want)
+
+    @pytest.mark.parametrize("busy, rate_fps, walks", [
+        ("lte", 833.0, False),  # a sensed light stream: settles in three rounds
+        ("short", 400.0, False),
+        ("lte", 8000.0, True),  # overloaded: a round raises most of the arrivals again
+        ("short", 8000.0, True),
+    ])
+    def test_poisson_rounds_and_walk(self, monkeypatch, busy, rate_fps, walks):
+        # the per-arrival walk is the only caller of bisect_right
+        calls = []
+        monkeypatch.setattr(phy, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+        lte = PUNCTURED_LTE
+        mask = busy_masks(lte)[busy]
+        rng_got, rng_want = np.random.default_rng(13), np.random.default_rng(13)
+        got = poisson_traffic(lte, mask, rate_fps, 222.0, "rx", rng_got)
+        want = ref_poisson_traffic(lte, mask, rate_fps, 222.0, "rx", rng_want)
+        assert_same_traffic(got, want, rng_got, rng_want)
+        assert bool(calls) == walks
 
     @settings(max_examples=150, deadline=None)
     @given(n_ticks=n_ticks_st, busy=busy_st, kind=kind_st, frame_us=frame_us_st,

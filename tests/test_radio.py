@@ -79,3 +79,25 @@ class TestShadowingField:
         f = ShadowingField(6.0, 800, (-30, 30, -30, 30), rng=np.random.default_rng(11))
         vals = f.values_at([(0.0, 0.0), (11.0, -7.0), (-23.0, 18.0)])
         assert abs(vals.std() - 6.0) / 6.0 < 0.1
+
+    def test_clamped_to_its_anchor_grid(self):
+        f = ShadowingField(6.0, 4, (-20, 20, -20, 20), rng=np.random.default_rng(2))
+        far = f.values_at([(5e3, 5e3), (1e6, 1e6), (5e3, -5e3), (-1e6, 3.0)])
+        # beyond the grid a point takes the value at the grid's nearest edge
+        assert np.array_equal(far[0], far[1])
+        assert np.array_equal(far[3], f.values_at([(-1e3, 3.0)])[0])
+        assert np.abs(far).max() < 10 * 6.0
+
+    def test_points_inside_are_interpolated_as_before(self):
+        # bilinear interpolation between the anchors, without clamping
+        f = ShadowingField(6.0, 3, (-40, 40, -30, 30), rng=np.random.default_rng(8))
+        pts = np.random.default_rng(9).uniform((-40, -30), (40, 30), size=(200, 2))
+        pts = np.concatenate([pts, [(-40.0, -30.0), (40.0, 30.0), (0.0, 0.0)]])
+        xs, ys, values = f._xs, f._ys, f._values
+        ix = np.clip(np.searchsorted(xs, pts[:, 0]) - 1, 0, len(xs) - 2)
+        iy = np.clip(np.searchsorted(ys, pts[:, 1]) - 1, 0, len(ys) - 2)
+        wx = ((pts[:, 0] - xs[ix]) / (xs[ix + 1] - xs[ix]))[:, None]
+        wy = ((pts[:, 1] - ys[iy]) / (ys[iy + 1] - ys[iy]))[:, None]
+        want = (values[ix, iy] * (1 - wx) * (1 - wy) + values[ix + 1, iy] * wx * (1 - wy)
+                + values[ix, iy + 1] * (1 - wx) * wy + values[ix + 1, iy + 1] * wx * wy)
+        assert np.array_equal(f.values_at(pts), want)
