@@ -298,10 +298,10 @@ def poisson_traffic(
     final, and so is that one, so the next round works from there on.
     Without busy runs one round is exact; a sensed light stream takes a
     few.  An overloaded queue can need about one round per busy run it
-    crosses, so once a round fails to halve the number of arrivals it
-    raises, the rest is walked one arrival at a time from the first start
-    that is not final.  That bounds the worst case to a few rounds plus the
-    walk.
+    crosses, so once a round raises more than half as many arrivals as the
+    round before, the rest is walked one arrival at a time, from the first
+    arrival that round raised.  That bounds the worst case to a few rounds
+    plus the walk.
     """
     n_ticks = len(lte_envelope)
     frame_ticks = max(1, round(frame_us / RESOLUTION_US))
