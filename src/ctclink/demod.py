@@ -1,9 +1,13 @@
 """Receiver: signal cleaning, preamble synchronization, demodulation.
 
-The receiver sees only MAC-state fractions.  Cleaning maps each 250 us
-window to a value around +-0.5: confident interference becomes +0.5,
+The receiver sees only the NIC's per-window MAC states.  Cleaning maps each
+250 us window to a value around +-0.5: confident interference becomes +0.5,
 confident silence -0.5, any window dominated by rx/tx/idle is forced to
 -0.5, and ambiguous windows keep their (DC-shifted) interference fraction.
+A window the sampler made is one of 56 state codes, so the receiver cleans
+such a series by looking its codes up in a table that clean_signal built
+once; fraction arrays and cleaned samples from elsewhere are cleaned and
+rounded as they come.
 A cross-correlation against the known four-cycle preamble arms the symbol
 clock; a later, higher correlation re-anchors it.  Every cycle after the
 anchor, the trailing window is correlated against all one-cycle symbol
@@ -40,6 +44,7 @@ from .codec import (
     preamble_schedules,
 )
 from .phy import (
+    CODE_BASE,
     RESOLUTION_US,
     WINDOW_US,
     CsatConfig,
@@ -70,14 +75,39 @@ def clean_signal(series: MacStateSeries) -> np.ndarray:
     above TAU3 forces 0, then the DC offset of 0.5 is removed.  For any
     series the sampler makes the result lies on the 1/SAMPLE_SCALE grid;
     Demodulator.feed rounds its input to that grid before it computes.
+    A series with state codes is cleaned by lookup in CODE_CLEANED, which
+    this function built, so its result is the same to the bit.
     """
-    s = series.intf.astype(np.float64).copy()
-    s[s > TAU1] = 1.0
-    s[(1.0 - s) > TAU2] = 0.0
-    s[series.rx > TAU3] = 0.0
-    s[series.tx > TAU3] = 0.0
-    s[series.idle > TAU3] = 0.0
-    return s - 0.5
+    if series.codes is not None:
+        return CODE_CLEANED[series.codes]
+    intf = np.asarray(series.intf, dtype=np.float64)
+    s = np.where(intf > TAU1, 1.0, intf)
+    # a saturated window has 1 - s = 0, so the silence rule may test intf
+    zero = (1.0 - intf) > TAU2
+    for share in (series.rx, series.tx, series.idle):
+        zero |= share > TAU3
+    s -= 0.5
+    np.copyto(s, -0.5, where=zero)
+    return s
+
+
+def _clean_codes() -> np.ndarray:
+    """clean_signal of the window behind every state code.
+
+    Codes whose counts add up to more than one window never occur; their
+    entries are what the rules make of those counts.
+    """
+    n = CODE_BASE - 1
+    codes = np.arange(CODE_BASE**3)
+    rx, tx, intf = codes % CODE_BASE, codes // CODE_BASE % CODE_BASE, codes // CODE_BASE**2
+    return clean_signal(
+        MacStateSeries(WINDOW_US, (n - rx - tx - intf) / n, rx / n, tx / n, intf / n)
+    )
+
+
+# per state code: the cleaned sample, and the receiver's integer sample
+CODE_CLEANED = _clean_codes()
+CODE_SAMPLES = np.rint(SAMPLE_SCALE * CODE_CLEANED)
 
 
 def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -144,7 +174,7 @@ class ReceiverConfig:
         """Signs of the one-cycle cleaned reference, via the real pipeline."""
         wave = generate_waveform(self.csat, [schedule], n_cycles=1)
         link = RadioLink(distance_m=1.0)  # far above any ED threshold
-        return 2.0 * clean_signal(sample_mac_states(wave, link))
+        return 2.0 * CODE_CLEANED[sample_mac_states(wave, link).codes]
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
         """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.
@@ -306,16 +336,19 @@ class Demodulator:
     def feed(self, chunk: MacStateSeries | np.ndarray) -> list[DecodedFrame]:
         """Decode a chunk of MAC states or of cleaned samples.
 
-        Cleaned samples are rounded to the nearest multiple of
+        A series with state codes becomes the receiver's integer samples by
+        lookup in CODE_SAMPLES.  Other series are cleaned by clean_signal,
+        and cleaned samples are rounded to the nearest multiple of
         1/SAMPLE_SCALE, which leaves every series the sampler makes as it
-        is; all later arithmetic is on those integers and exact.
+        is.  All later arithmetic is on those integers and exact.
         """
         cfg = self.config
-        if isinstance(chunk, MacStateSeries):
-            cleaned = clean_signal(chunk)
+        if isinstance(chunk, MacStateSeries) and chunk.codes is not None:
+            samples = CODE_SAMPLES[chunk.codes]
         else:
-            cleaned = np.asarray(chunk, dtype=np.float64)
-        buf = np.concatenate([self._carry, np.rint(SAMPLE_SCALE * cleaned)])
+            cleaned = clean_signal(chunk) if isinstance(chunk, MacStateSeries) else chunk
+            samples = np.rint(SAMPLE_SCALE * np.asarray(cleaned, dtype=np.float64))
+        buf = np.concatenate([self._carry, samples])
         pre = cfg.preamble_correlation(buf)
         raw, state = _receiver_scan(
             buf, pre, cfg.templates, cfg.samples_per_cycle, cfg.frame_symbols,

@@ -320,6 +320,8 @@ def run_ed_sweep(
     thetas: tuple[int, ...] = (3, 28),
 ) -> EdSweepResult:
     """Link sweep per ED register; powers re-centered on each register."""
+    if len(set(thetas)) != len(thetas):
+        raise ValueError(f"ED registers {','.join(map(str, thetas))} repeat a register")
     sweeps: dict[int, SweepResult] = {}
     knees: list[KneeSummary] = []
     for theta in thetas:
@@ -364,6 +366,9 @@ def run_multicell(
     side_m: float = 140.0,
 ) -> MulticellRun:
     """Detected-BS-count grids with and without shadowing."""
+    for sigma in sigmas_db:
+        if not sigma >= 0:
+            raise ValueError(f"shadowing sigma {sigma:g} dB must be non-negative")
     deployment = build_hex_deployment(station_count)
     results = {}
     for sigma in sigmas_db:

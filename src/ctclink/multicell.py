@@ -449,6 +449,8 @@ def grid_evaluate(
     The shadowing field (when enabled) is drawn once up front so every
     point sees one consistent spatially correlated realization.
     """
+    if not (grid_step_m > 0 and side_m > 0):
+        raise ValueError(f"grid step {grid_step_m:g} m and side {side_m:g} m must be positive")
     half = side_m / 2.0
     axis = np.arange(-half, half + grid_step_m / 2.0, grid_step_m)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")

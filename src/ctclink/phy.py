@@ -2,9 +2,11 @@
 
 The transmitter side lays puncture schedules into the ON phases of a CSAT
 duty cycle on a 50 us tick grid.  The receiver side is a model of what a
-WiFi NIC exposes: per 250 us window, the fraction of time spent idle,
+WiFi NIC exposes: per 250 us window, how many of its ticks were spent
 receiving, transmitting, and sensing energy without packet reception
-(intf).  That intf fraction is the side channel's only observable.
+(intf), the rest being idle.  The sampler packs the three counts into one
+uint8 code per window; the fractions of time in each state follow from the
+code on demand.  The intf share is the side channel's only observable.
 
 Tick rules, in precedence order: the node's own transmissions win
 (half-duplex), then decoded WiFi receptions, then energy above the ED
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +43,10 @@ DRAW_BLOCK = 4096
 # four fractions of a window may each be off by half a last decimal
 CSV_DECIMALS = 6
 FRACTION_SUM_TOL = 4 * 0.5 * 10.0 ** -CSV_DECIMALS
+# a window's state code is rx + CODE_BASE * tx + CODE_BASE**2 * intf, its
+# tick counts in those states: each count is at most the window's ticks,
+# so the code is unique, and it fits a uint8 since CODE_BASE**3 <= 256
+CODE_BASE = WINDOW_US // RESOLUTION_US + 1
 
 
 class SchedulingError(ValueError):
@@ -440,19 +447,55 @@ def saturated_traffic(
 # MAC-state sampling.
 # ---------------------------------------------------------------------------
 
-@dataclass
 class MacStateSeries:
-    """Per-window MAC-state fractions, the receiver's observable."""
+    """Per-window MAC-state fractions, the receiver's observable.
 
-    window_us: int
-    idle: np.ndarray
-    rx: np.ndarray
-    tx: np.ndarray
-    intf: np.ndarray
+    A series is built either from its four fraction arrays or, by the
+    sampler, from one state code per window (from_codes; codes is None
+    otherwise).  A code-backed series derives each fraction on first
+    access as the window's tick count over its ticks, bit for bit the float
+    mean of the window's tick masks.
+    """
+
+    def __init__(
+        self, window_us: int, idle: np.ndarray, rx: np.ndarray, tx: np.ndarray, intf: np.ndarray
+    ) -> None:
+        self.window_us = window_us
+        self.codes: np.ndarray | None = None
+        self.idle, self.rx, self.tx, self.intf = idle, rx, tx, intf
+
+    @classmethod
+    def from_codes(cls, window_us: int, codes: np.ndarray) -> "MacStateSeries":
+        """A series of WINDOW_US windows from their uint8 state codes."""
+        series = cls.__new__(cls)
+        series.window_us = window_us
+        series.codes = codes
+        return series
+
+    def _fraction(self, count: np.ndarray) -> np.ndarray:
+        return count / (CODE_BASE - 1)
+
+    @cached_property
+    def rx(self) -> np.ndarray:
+        return self._fraction(self.codes % CODE_BASE)
+
+    @cached_property
+    def tx(self) -> np.ndarray:
+        return self._fraction(self.codes // CODE_BASE % CODE_BASE)
+
+    @cached_property
+    def intf(self) -> np.ndarray:
+        return self._fraction(self.codes // CODE_BASE**2)
+
+    @cached_property
+    def idle(self) -> np.ndarray:
+        c = self.codes
+        return self._fraction(CODE_BASE - 1 - c % CODE_BASE - c // CODE_BASE % CODE_BASE
+                              - c // CODE_BASE**2)
 
     @property
     def n_samples(self) -> int:
-        return len(self.idle)
+        return len(self.codes if self.codes is not None else self.idle)
 
     @property
     def t_us(self) -> np.ndarray:
@@ -499,16 +542,16 @@ def sample_mac_states(
     ed_noise_sigma_db: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> MacStateSeries:
-    """Simulate the NIC's per-window MAC-state fractions.
+    """Simulate the NIC's per-window MAC states, one state code per window.
 
     Each (waveform, link) pair is one LTE source; a tick registers intf
     when any transmitting source's instantaneous receive power (mean plus
     optional fast measurement noise) reaches that link's ED threshold.
 
-    Ticks are RESOLUTION_US long and each fraction covers one window of
-    WINDOW_US: it is the window's integer count of ticks in that state over
-    ``WINDOW_US // RESOLUTION_US``, which is bit for bit the float mean of
-    the window's tick masks.  Only whole windows are sampled: trailing ticks
+    Ticks are RESOLUTION_US long and each code covers one window of
+    WINDOW_US: it packs the window's counts of rx, tx and intf ticks (see
+    CODE_BASE), from which the series derives each fraction on first
+    access.  Only whole windows are sampled: trailing ticks
     that do not fill one window are dropped, so the series covers
     ``n_ticks // (WINDOW_US // RESOLUTION_US)`` windows.
     """
@@ -541,30 +584,25 @@ def sample_mac_states(
         elif level >= theta:
             heard |= wave.tx
 
-    if traffic is None:
-        traffic = TrafficTrace.silent(n_ticks)
-    if traffic.n_ticks != n_ticks:
-        raise ValueError("traffic trace length must match the waveform")
-
-    tx = traffic.tx
-    rx = ~tx & traffic.rx_locked
-    intf = ~tx & ~rx & (detect | traffic.rx_unlocked)
-
     per_win = WINDOW_US // RESOLUTION_US
     n_win = n_ticks // per_win
     cut = n_win * per_win
-
-    def count(mask: np.ndarray) -> np.ndarray:
-        # adding the per_win uint8 columns beats a reduction along the short axis
-        cols = mask[:cut].view(np.uint8).reshape(n_win, per_win)
-        total = cols[:, 0].copy()
-        for k in range(1, per_win):
-            total += cols[:, k]
-        return total
-
-    n_rx, n_tx, n_intf = count(rx), count(tx), count(intf)
-    # the rx, tx and intf masks are disjoint, so idle completes a partition of every tick
-    n_idle = per_win - n_rx - n_tx - n_intf
-    return MacStateSeries(
-        WINDOW_US, n_idle / per_win, n_rx / per_win, n_tx / per_win, n_intf / per_win
-    )
+    # per tick: CODE_BASE**2 for intf, CODE_BASE for tx, 1 for rx, 0 for idle
+    if traffic is None:
+        code = detect[:cut].view(np.uint8) * np.uint8(CODE_BASE**2)
+    else:
+        if traffic.n_ticks != n_ticks:
+            raise ValueError("traffic trace length must match the waveform")
+        # own transmissions win over decoded receptions, which win over energy
+        tx = traffic.tx[:cut]
+        rx = ~tx & traffic.rx_locked[:cut]
+        intf = ~tx & ~rx & (detect[:cut] | traffic.rx_unlocked[:cut])
+        code = intf.view(np.uint8) * np.uint8(CODE_BASE**2)
+        code += tx.view(np.uint8) * np.uint8(CODE_BASE)
+        code += rx.view(np.uint8)
+    # adding the per_win uint8 columns beats a reduction along the short axis
+    cols = code.reshape(n_win, per_win)
+    codes = cols[:, 0].copy()
+    for k in range(1, per_win):
+        codes += cols[:, k]
+    return MacStateSeries.from_codes(WINDOW_US, codes)

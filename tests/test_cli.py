@@ -160,6 +160,31 @@ class TestMulticellCommand:
         _, expected = build_cluster_configurations(build_hex_deployment(7))
         assert book.entries == {k: tuple(sorted(v)) for k, v in expected.entries.items()}
 
+    @pytest.mark.parametrize("flags, complaint", [
+        (["--step", "0"], "grid step 0 m and side 40 m must be positive"),
+        (["--step", "-5"], "grid step -5 m and side 40 m must be positive"),
+        (["--side", "0"], "grid step 10 m and side 0 m must be positive"),
+        (["--sigmas=-3"], "shadowing sigma -3 dB must be non-negative"),
+    ])
+    def test_bad_grid_fails_with_one_error_line(self, tmp_path, capsys, flags, complaint):
+        prefix = tmp_path / "grid"
+        argv = ["multicell", "--stations", "7", "--step", "10", "--side", "40",
+                "--out-prefix", str(prefix), *flags]
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr().err == f"error: {complaint}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestEdSweepCommand:
+    def test_repeated_register_fails_with_one_error_line(self, tmp_path, capsys):
+        out, knees = tmp_path / "sweep.csv", tmp_path / "knees.csv"
+        code = run_cli("ed-sweep", "--thetas", "3,3", "--repetitions", "1", "--frames", "1",
+                       "--out", str(out), "--knees-out", str(knees))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: ED registers 3,3 repeat a register\n"
+        assert captured.out == "" and not out.exists() and not knees.exists()
+
 
 class TestAnalyticsCommand:
     def test_writes_table(self, tmp_path, capsys):

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from ctclink.codec import build_frame, frame_symbol_count, get_scheme
 from ctclink.demod import (
+    CODE_CLEANED,
+    CODE_SAMPLES,
     CORR_SCALE,
     SAMPLE_SCALE,
+    TAU1,
+    TAU2,
+    TAU3,
     Demodulator,
     ReceiverConfig,
     _receiver_scan,
@@ -23,7 +28,14 @@ from ctclink.demod import (
     measure_fer_ser,
 )
 from ctclink.experiments import DEFAULT_ED_NOISE_SIGMA_DB, scenario_traffic
-from ctclink.phy import CsatConfig, MacStateSeries, Waveform, generate_waveform, sample_mac_states
+from ctclink.phy import (
+    CODE_BASE,
+    CsatConfig,
+    MacStateSeries,
+    Waveform,
+    generate_waveform,
+    sample_mac_states,
+)
 from ctclink.radio import RadioLink
 
 CONFIGS = {
@@ -97,6 +109,77 @@ class TestCleaning:
         # at exactly tau3 the force does not fire
         series2 = MacStateSeries(250, z + 0.5, z, z, z + 0.5)
         assert clean_signal(series2).tolist() == [0.0, 0.0, 0.0]
+
+
+def ref_clean_signal(series: MacStateSeries) -> np.ndarray:
+    """The cleaning rules one at a time, each a boolean-index assignment."""
+    s = series.intf.astype(np.float64).copy()
+    s[s > TAU1] = 1.0
+    s[(1.0 - s) > TAU2] = 0.0
+    s[series.rx > TAU3] = 0.0
+    s[series.tx > TAU3] = 0.0
+    s[series.idle > TAU3] = 0.0
+    return s - 0.5
+
+
+def neighbours(x: float, steps: int = 2) -> list[float]:
+    """x and the ``steps`` doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(float(np.nextafter(below[-1], -1.0)))
+        above.append(float(np.nextafter(above[-1], 2.0)))
+    return below + above[1:]
+
+
+# the sampler's grid, points off it, and the doubles around each threshold,
+# including where 1 - intf crosses TAU2
+EDGE_FRACTIONS = (
+    0.0, 0.4, 0.6, 1.0, 1 / 3, 0.7, 0.05, 0.95,
+    *neighbours(TAU1), *neighbours(TAU3), *neighbours(0.2), *neighbours(1.0 - TAU2),
+)
+fractions = st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0))
+
+
+class TestCleaningMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(windows=st.lists(st.tuples(fractions, fractions, fractions, fractions), max_size=40))
+    def test_clean_signal(self, windows):
+        # the four fractions of a window are drawn apart, as a CSV may hold them
+        idle, rx, tx, intf = np.array(windows, dtype=np.float64).reshape(-1, 4).T
+        series = MacStateSeries(250, idle, rx, tx, intf)
+        got, want = clean_signal(series), ref_clean_signal(series)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert np.array_equal(series.intf, intf)  # the input is left as it was
+
+    def test_sampled_series(self):
+        # a sampled series is cleaned by lookup, its fractions by the rules
+        series = noisy_series("multi20-k3", CONFIGS["multi20-k3"], make_config("multi20-k3"), 3)
+        floats = MacStateSeries(250, series.idle, series.rx, series.tx, series.intf)
+        want = ref_clean_signal(floats)
+        assert len(np.unique(want)) > 2
+        assert clean_signal(floats).tobytes() == want.tobytes()
+        assert clean_signal(series).tobytes() == want.tobytes()
+
+
+class TestCodeTable:
+    def test_every_window_cleans_as_its_fractions(self):
+        n = CODE_BASE - 1
+        triples = [(rx, tx, intf) for rx, tx, intf in itertools.product(range(n + 1), repeat=3)
+                   if rx + tx + intf <= n]
+        assert len(triples) == 56
+        for rx, tx, intf in triples:
+            window = MacStateSeries(
+                250, *(np.array([k / n]) for k in (n - rx - tx - intf, rx, tx, intf))
+            )
+            cleaned = clean_signal(window)
+            code = rx + CODE_BASE * tx + CODE_BASE**2 * intf
+            assert CODE_SAMPLES[code] == np.rint(SAMPLE_SCALE * cleaned)[0], (rx, tx, intf)
+            assert CODE_CLEANED[code:code + 1].tobytes() == cleaned.tobytes()
+            # the code-backed window derives the same fractions and cleans the same
+            coded = MacStateSeries.from_codes(250, np.array([code], dtype=np.uint8))
+            for name in ("idle", "rx", "tx", "intf"):
+                assert getattr(coded, name).tobytes() == getattr(window, name).tobytes()
+            assert clean_signal(coded).tobytes() == cleaned.tobytes()
 
 
 class TestReceiverConfig:
@@ -373,9 +456,9 @@ def _random_case(seed: int):
     return x, pre, templates, W, L, tau
 
 
-def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
-    """Cleaned capture of two and a half frames near the detection
-    threshold, under saturated WiFi traffic and ED measurement noise.
+def noisy_series(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
+    """MAC states of two and a half frames near the detection threshold,
+    under saturated WiFi traffic and ED measurement noise.
 
     Every symbol gets a cycle of its own, as the receiver expects, so the
     stream syncs and decodes at any cycle length.
@@ -392,8 +475,12 @@ def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: in
     ).with_lead_in(int(rng.integers(0, 5 * config.samples_per_cycle)))
     traffic = scenario_traffic("background-high", wave.tx, wave.tx, rng)
     link = RadioLink.at_rx_power(-61.0)
-    series = sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
-    return clean_signal(series)
+    return sample_mac_states(wave, link, traffic, ed_noise_sigma_db=0.6, rng=rng)
+
+
+def noisy_loopback(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
+    """Cleaned capture of noisy_series."""
+    return clean_signal(noisy_series(name, csat, config, seed))
 
 
 class TestScanAgainstOracle:
@@ -495,6 +582,39 @@ class TestChunkingProperty:
             assert (s, R, t0 + g, l, anchor + g, partial) == oracle_state_at(history, cut)
         frames += demod.finish()
         assert as_tuples(frames) == expected
+
+
+@functools.lru_cache(maxsize=None)
+def code_capture(name: str, cycle_ms: int):
+    """(config, sampled series) of the capture behind oracle_capture."""
+    config = oracle_capture(name, cycle_ms)[0]
+    return config, noisy_series(name, config.csat, config, seed=cycle_ms + len(name))
+
+
+class TestCodeBackedFeed:
+    @pytest.mark.parametrize("cycle_ms", PROPERTY_CYCLES_MS)
+    @pytest.mark.parametrize("name", ("wide20", "multi20-k3"))
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_codes_decode_as_their_cleaned_floats(self, name, cycle_ms, data):
+        config, series = code_capture(name, cycle_ms)
+        n = series.n_samples
+        cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=12))))
+        by_code, by_float = Demodulator(config), Demodulator(config)
+        decoded, prev = 0, 0
+        for cut in [*cuts, n]:
+            chunk = MacStateSeries.from_codes(series.window_us, series.codes[prev:cut])
+            got = by_code.feed(chunk)
+            floats = MacStateSeries(chunk.window_us, chunk.idle, chunk.rx, chunk.tx, chunk.intf)
+            assert got == by_float.feed(clean_signal(floats))
+            assert by_code._state == by_float._state
+            assert by_code._global0 == by_float._global0
+            assert by_code._carry.tobytes() == by_float._carry.tobytes()
+            decoded += len(got)
+            prev = cut
+        tail = by_code.finish()
+        assert tail == by_float.finish()
+        assert decoded + len(tail) > 0
 
 
 def threshold_stream(name: str, scenario: str, power_dbm: float, seed: int, n_frames: int = 10):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from ctclink import experiments
 from ctclink.experiments import (
     DEFAULT_ED_NOISE_SIGMA_DB,
     EdSweepResult,
@@ -26,7 +27,7 @@ from ctclink.experiments import (
 from ctclink.analytics import rate_airtime_table
 from ctclink.codec import default_schemes, encode_symbol, get_scheme, preamble_schedules
 from ctclink.demod import ReceiverConfig, demodulate
-from ctclink.phy import CsatConfig, generate_waveform, sample_mac_states
+from ctclink.phy import CsatConfig, MacStateSeries, generate_waveform, sample_mac_states
 from ctclink.codec import build_frame
 from ctclink.radio import RadioLink, map_ed_register
 
@@ -251,6 +252,25 @@ class TestRunStream:
         )
         assert counts == (0, 0)
 
+    def test_makes_no_fraction_arrays(self, monkeypatch):
+        # the sampler's state codes reach the receiver, which cleans them by lookup
+        seen = []
+
+        def spy(series, config):
+            seen.append(series)
+            return demodulate(series, config)
+
+        def refuse(self, count):
+            raise AssertionError("a MAC-state fraction array was made")
+
+        config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
+        monkeypatch.setattr(experiments, "demodulate", spy)
+        monkeypatch.setattr(MacStateSeries, "_fraction", refuse)
+        for scenario in ("clear", "background-high", "apdl-light"):
+            run_stream(config, RadioLink.at_rx_power(-61.5, ed_register=28), scenario, 2,
+                       np.random.default_rng(5))
+        assert len(seen) == 3 and all(series.codes is not None for series in seen)
+
 
 class TestLinkSweep:
     def make_spec(self, **kw):
@@ -324,6 +344,11 @@ class TestEdSweep:
             assert abs(k.knee_dbm - k.theta_dbm) <= 1.5
             assert k.width_db <= 3.0
 
+    def test_repeated_register_rejected(self):
+        spec = ExperimentSpec(scenario="clear", seed=3, repetitions=1, frames_per_rep=1)
+        with pytest.raises(ValueError, match="ED registers 3,3 repeat a register"):
+            run_ed_sweep(spec, thetas=(3, 3))
+
     def test_csv_outputs(self, tmp_path):
         spec = ExperimentSpec(
             scenario="clear", powers_dbm=(-63.0, -61.0), seed=3,
@@ -391,6 +416,11 @@ class TestMulticellRun:
         det0 = run.results[0.0].n_detected
         det6 = run.results[6.0].n_detected
         assert not np.array_equal(det0, det6)
+
+    @pytest.mark.parametrize("sigma", [-3.0, -0.1, float("nan")])
+    def test_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            run_multicell(station_count=7, sigmas_db=(0.0, sigma), grid_step_m=10.0, side_m=40.0)
 
     def test_summary_csv(self, tmp_path):
         run = run_multicell(station_count=7, sigmas_db=(0.0,), seed=2,

@@ -396,6 +396,13 @@ class TestGridEvaluation:
         assert sinr == pytest.approx(10.0 * math.log10(expect))
         assert sinr < -70.0 - NOISE_FLOOR_DBM
 
+    @pytest.mark.parametrize("step, side", [
+        (0.0, 140.0), (-2.0, 140.0), (2.0, 0.0), (2.0, -1.0), (float("nan"), 140.0),
+    ])
+    def test_non_positive_step_or_side_rejected(self, step, side):
+        with pytest.raises(ValueError, match="must be positive"):
+            grid_evaluate(build_hex_deployment(7), grid_step_m=step, side_m=side)
+
     def test_clear_sky_histogram(self):
         dep = build_hex_deployment(100)
         result = grid_evaluate(dep, grid_step_m=4.0, side_m=140.0)

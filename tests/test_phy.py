@@ -16,6 +16,7 @@ from ctclink import phy
 from ctclink.codec import build_frame, default_schemes, encode_symbol, preamble_schedules
 from ctclink.experiments import scenario_traffic
 from ctclink.phy import (
+    CODE_BASE,
     CYCLE_CHOICES,
     MAX_ON_RUN_MS,
     RESOLUTION_US,
@@ -708,6 +709,11 @@ class TestSamplerMatchesReference:
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_mac_states(waves, links, traffic, sigma, rng_got)
         want = ref_sample_mac_states(waves, links, traffic, sigma, rng_want)
+        # the per-window codes of the reference's fractions, then the fractions they give
+        n = WINDOW_US // RESOLUTION_US
+        want_codes = sum(CODE_BASE**k * np.rint(n * getattr(want, name)).astype(np.uint8)
+                         for k, name in enumerate(("rx", "tx", "intf")))
+        assert got.codes.dtype == np.uint8 and np.array_equal(got.codes, want_codes)
         assert_same_series(got, want, rng_got, rng_want)
         got.validate()
 
