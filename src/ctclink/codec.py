@@ -225,6 +225,14 @@ class _ScheduleTable(dict):
         return schedule
 
 
+def _tail_positions(scheme: CodingScheme, rank: int) -> tuple[int, ...]:
+    """Punctured slots, mandatory ones included, of the tail-style schedule
+    whose extra punctures are the ``rank``-th choice of candidate slots."""
+    picked = combination_unrank(scheme.n_positions, scheme.extra_punctures, rank)
+    extras = tuple(scheme.candidate_slots[i] for i in picked)
+    return tuple(sorted(extras + scheme.mandatory_slots))
+
+
 def encode_symbol(value: int, scheme: CodingScheme) -> PunctureSchedule:
     """Schedule for ``value``; raises ValueError outside [0, 2**K)."""
     if not 0 <= value < scheme.alphabet_size:
@@ -236,9 +244,7 @@ def encode_symbol(value: int, scheme: CodingScheme) -> PunctureSchedule:
         start = grid_slot * scheme.mandatory_ms
         positions = tuple(range(start, start + scheme.mandatory_ms))
     else:
-        picked = combination_unrank(scheme.n_positions, scheme.extra_punctures, value)
-        extras = tuple(scheme.candidate_slots[i] for i in picked)
-        positions = tuple(sorted(extras + scheme.mandatory_slots))
+        positions = _tail_positions(scheme, value)
     return PunctureSchedule(scheme.symbol_ms, positions, value)
 
 
@@ -302,19 +308,11 @@ def preamble_schedules(scheme: CodingScheme) -> tuple[PunctureSchedule, ...]:
             raise ValueError(
                 f"{scheme.name} has {surplus} surplus schedules; preamble needs 2"
             )
-        k = scheme.extra_punctures
-        slots = []
-        for rank in (scheme.capacity - 1, scheme.capacity - 2):
-            picked = combination_unrank(scheme.n_positions, k, rank)
-            extras = tuple(scheme.candidate_slots[i] for i in picked)
-            slots.append(tuple(sorted(extras + scheme.mandatory_slots)))
-        slots_a, slots_b = slots
+        slots_a = _tail_positions(scheme, scheme.capacity - 1)
+        slots_b = _tail_positions(scheme, scheme.capacity - 2)
     a = PunctureSchedule(scheme.symbol_ms, slots_a, None)
     b = PunctureSchedule(scheme.symbol_ms, slots_b, None)
     return (a, b, a, b)
-
-
-PREAMBLE_SYMBOLS = 4
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._csv import write_csv
 from .codec import (
     CodingScheme,
     CtcFrame,
@@ -144,10 +143,15 @@ class ReceiverConfig:
     preamble hold the signs (+-1) of the cleaned references.  max_corr is
     the preamble's peak correlation in the cleaned domain, and the
     synchronization threshold tau_p is TAU_P_FACTOR times it.  Every cycle
-    CsatConfig allows is a whole number of windows.
+    CsatConfig allows is a whole number of windows.  The ON time must be
+    one too, or the window that ends it cleans to a value between the signs.
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
+        if csat.on_ticks % (WINDOW_US // RESOLUTION_US):
+            raise ValueError(
+                f"ON time {csat.on_ms:g} ms is not a whole number of {WINDOW_US} us windows"
+            )
         self.scheme = scheme
         self.csat = csat
         self.samples_per_cycle = csat.cycle_ms * 1000 // WINDOW_US  # W
@@ -211,25 +215,6 @@ class DecodedFrame:
     peak_corr: float
     complete: bool
     frame: CtcFrame | None  # None when the stream ended mid-frame
-    bits: bytes
-    n_bits: int
-
-    @property
-    def fields_ok(self) -> tuple[bool, ...] | None:
-        return self.frame.fields_ok if self.frame is not None else None
-
-    @property
-    def bits_hex(self) -> str:
-        return self.bits.hex()
-
-
-def _pack_bits(symbols: Sequence[int], bits_per_symbol: int) -> tuple[bytes, int]:
-    n_bits = len(symbols) * bits_per_symbol
-    value = 0
-    for s in symbols:
-        value = (value << bits_per_symbol) | s
-    n_bytes = (n_bits + 7) // 8
-    return (value << (8 * n_bytes - n_bits)).to_bytes(n_bytes, "big"), n_bits
 
 
 def _first_at_least(values: np.ndarray, pos: int, level: float, block: int) -> int:
@@ -376,9 +361,8 @@ class Demodulator:
 
     def _assemble(self, sync_t: int, peak: float, symbols, complete: bool) -> DecodedFrame:
         values = tuple(int(v) for v in symbols)
-        bits, n_bits = _pack_bits(values, self.config.scheme.bits_per_symbol)
         frame = parse_frame(values, self.config.scheme) if complete else None
-        return DecodedFrame(values, int(sync_t), peak / CORR_SCALE, complete, frame, bits, n_bits)
+        return DecodedFrame(values, int(sync_t), peak / CORR_SCALE, complete, frame)
 
 
 def demodulate(series: MacStateSeries | np.ndarray, config: ReceiverConfig) -> list[DecodedFrame]:
@@ -411,12 +395,3 @@ def measure_fer_ser(
         symbol_errors += sum(1 for a, b in zip(tx, rx.symbols) if a != b)
         symbol_errors += abs(len(tx) - len(rx.symbols))
     return frame_errors, symbol_errors
-
-
-def frames_to_csv(frames: Sequence[DecodedFrame], path: str) -> None:
-    """Decoded-frame report; fields_ok is one 0/1 per field, "-" if truncated."""
-    columns = (("frame_idx", ""), ("sync_t", ""), ("fields_ok", ""), ("bits_hex", ""))
-    write_csv(path, columns, (
-        (i, f.sync_t, "".join("01"[ok] for ok in f.fields_ok) if f.fields_ok else "-", f.bits_hex)
-        for i, f in enumerate(frames)
-    ))

@@ -12,20 +12,20 @@ Tick rules, in precedence order: the node's own transmissions win
 (half-duplex), then decoded WiFi receptions, then energy above the ED
 threshold from any LTE source or from undecodable WiFi frames, then idle.
 A WiFi frame counts as decoded when it starts on a tick where no LTE
-envelope is active; frames that start under LTE energy are corrupted and
-only contribute energy.
+source transmits; frames that start under LTE energy are corrupted and
+only contribute energy.  WiFi senders that sense the LTE cell defer to its
+transmit mask, punctures included.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from ._csv import write_csv
 from .codec import PunctureSchedule
 from .radio import RadioLink
 
@@ -39,10 +39,6 @@ MAX_ON_RUN_MS = 20
 SAFETY_GAP_MS = 2
 # doubles drawn at a time by saturated_traffic
 DRAW_BLOCK = 4096
-# decimals of the fractions in a MacStateSeries CSV; reading one back, the
-# four fractions of a window may each be off by half a last decimal
-CSV_DECIMALS = 6
-FRACTION_SUM_TOL = 4 * 0.5 * 10.0 ** -CSV_DECIMALS
 # a window's state code is rx + CODE_BASE * tx + CODE_BASE**2 * intf, its
 # tick counts in those states: each count is at most the window's ticks,
 # so the code is unique, and it fits a uint8 since CODE_BASE**3 <= 256
@@ -70,19 +66,23 @@ class CsatConfig:
     def duty(self) -> float:
         return self.on_ms / self.cycle_ms
 
+    @property
+    def on_ticks(self) -> int:
+        """ON time in ticks, rounded to the nearest tick."""
+        return round(self.on_ms * (1000 // RESOLUTION_US))
+
 
 @dataclass
 class Waveform:
     """Tick-level transmit pattern of one LTE-U source.
 
-    tx is the actual transmission (punctures are off); envelope is the
-    nominal ON phase mask that carrier-sensing WiFi senders react to.
+    tx is the actual transmission: True in the ON phases except at the
+    punctures.  It is both the energy the sampler detects and the mask that
+    carrier-sensing WiFi senders defer to.
     """
 
     csat: CsatConfig
     tx: np.ndarray
-    envelope: np.ndarray
-    symbol_starts: list[tuple[int, PunctureSchedule]] = field(default_factory=list)
 
     @property
     def n_ticks(self) -> int:
@@ -92,21 +92,9 @@ class Waveform:
     def n_cycles(self) -> int:
         return self.n_ticks // (self.csat.cycle_ms * 1000 // RESOLUTION_US)
 
-    def measured_duty(self) -> float:
-        """Envelope duty over the whole cycles contained in the waveform."""
-        cyc = self.csat.cycle_ms * 1000 // RESOLUTION_US
-        whole = self.n_cycles * cyc
-        return float(self.envelope[:whole].mean())
-
     def with_lead_in(self, n_ticks: int) -> "Waveform":
         """Same waveform preceded by silence, for start-offset experiments."""
-        pad = np.zeros(n_ticks, dtype=bool)
-        return Waveform(
-            self.csat,
-            np.concatenate([pad, self.tx]),
-            np.concatenate([pad, self.envelope]),
-            [(t + n_ticks, s) for t, s in self.symbol_starts],
-        )
+        return Waveform(self.csat, np.concatenate([np.zeros(n_ticks, dtype=bool), self.tx]))
 
     def validate(self) -> None:
         """Check the coexistence constraint: no TX run longer than 20 ms."""
@@ -132,7 +120,7 @@ def generate_waveform(
     """
     per_ms = 1000 // RESOLUTION_US
     cycle_ticks = csat.cycle_ms * per_ms
-    on_ticks = round(csat.on_ms * per_ms)
+    on_ticks = csat.on_ticks
 
     # assign symbols to (cycle, offset_ms) slots
     placed: list[tuple[int, int, PunctureSchedule]] = []
@@ -153,16 +141,13 @@ def generate_waveform(
     if n_cycles is not None and used_cycles > n_cycles:
         raise SchedulingError(f"symbols need {used_cycles} cycles, got {n_cycles}")
 
-    envelope = np.zeros(total_cycles * cycle_ticks, dtype=bool)
-    envelope.reshape(total_cycles, cycle_ticks)[:, :on_ticks] = True
-    tx = envelope.copy()
+    tx = np.zeros(total_cycles * cycle_ticks, dtype=bool)
+    tx.reshape(total_cycles, cycle_ticks)[:, :on_ticks] = True
 
-    symbol_starts = []
     punctured_ms = []  # punctured slots, as ms from the start
     last_footprint = {}  # cycle -> ticks covered by symbols
     for c, off_ms, sched in placed:
         first_ms = c * csat.cycle_ms + off_ms
-        symbol_starts.append((first_ms * per_ms, sched))
         punctured_ms += [first_ms + slot for slot in sched.positions]
         last_footprint[c] = (off_ms + sched.symbol_ms) * per_ms
     tx.reshape(-1, per_ms)[punctured_ms] = False
@@ -192,7 +177,7 @@ def generate_waveform(
             pos += budget + gap
             carry = 0
 
-    return Waveform(csat, tx, envelope, symbol_starts)
+    return Waveform(csat, tx)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +195,6 @@ class TrafficTrace:
     tx: np.ndarray
     rx_locked: np.ndarray
     rx_unlocked: np.ndarray
-
-    @classmethod
-    def silent(cls, n_ticks: int) -> "TrafficTrace":
-        z = np.zeros(n_ticks, dtype=bool)
-        return cls(z, z.copy(), z.copy())
 
     @property
     def n_ticks(self) -> int:
@@ -249,7 +229,7 @@ def _coverage(starts: np.ndarray, ends: np.ndarray, n_ticks: int) -> np.ndarray:
 
 
 def _paint_frames(
-    starts: Sequence[int], lengths: np.ndarray | int, kind: str, lte_envelope: np.ndarray
+    starts: Sequence[int], lengths: np.ndarray | int, kind: str, lte_tx: np.ndarray
 ) -> TrafficTrace:
     """Trace of WiFi frames launched at ``starts``, each ``lengths`` ticks long.
 
@@ -262,13 +242,13 @@ def _paint_frames(
     locked has the same next LTE tick, so its energy-only part is empty or
     starts at that tick.
     """
-    n_ticks = len(lte_envelope)
+    n_ticks = len(lte_tx)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.minimum(starts + lengths, n_ticks)
     silent = np.zeros(n_ticks, dtype=bool)
     if kind == "tx":
         return TrafficTrace(_coverage(starts, ends, n_ticks), silent, silent.copy())
-    lte_starts, lte_ends = _runs(lte_envelope)
+    lte_starts, lte_ends = _runs(lte_tx)
     # first LTE run ending after each start; past the last run, no LTE follows
     run = np.searchsorted(lte_ends, starts, side="right")
     next_lte = np.maximum(starts, np.asarray(lte_starts + [n_ticks], dtype=np.int64)[run])
@@ -279,7 +259,7 @@ def _paint_frames(
 
 
 def poisson_traffic(
-    lte_envelope: np.ndarray,
+    lte_tx: np.ndarray,
     busy_mask: np.ndarray,
     rate_fps: float,
     frame_us: float,
@@ -310,7 +290,7 @@ def poisson_traffic(
     arrival that round raised.  That bounds the worst case to a few rounds
     plus the walk.
     """
-    n_ticks = len(lte_envelope)
+    n_ticks = len(lte_tx)
     frame_ticks = max(1, round(frame_us / RESOLUTION_US))
     duration_s = n_ticks * RESOLUTION_US / 1e6
     n_frames = rng.poisson(rate_fps * duration_s)
@@ -355,7 +335,7 @@ def poisson_traffic(
             starts = np.concatenate([starts[:final], np.asarray(walked, dtype=np.int64)])
             break
         raised_before = raised.size
-    return _paint_frames(starts, frame_ticks, kind, lte_envelope)
+    return _paint_frames(starts, frame_ticks, kind, lte_tx)
 
 
 def _ticks(lo: float, span: float, doubles: np.ndarray) -> list[int]:
@@ -367,7 +347,7 @@ def _ticks(lo: float, span: float, doubles: np.ndarray) -> list[int]:
 
 
 def saturated_traffic(
-    lte_envelope: np.ndarray,
+    lte_tx: np.ndarray,
     busy_mask: np.ndarray,
     frame_us: float | tuple[float, float],
     kind: str,
@@ -440,7 +420,7 @@ def saturated_traffic(
 
     rng.bit_generator.state = saved
     rng.random(used)
-    return _paint_frames(starts, np.asarray(lengths, dtype=np.int64), kind, lte_envelope)
+    return _paint_frames(starts, np.asarray(lengths, dtype=np.int64), kind, lte_tx)
 
 
 # ---------------------------------------------------------------------------
@@ -496,43 +476,6 @@ class MacStateSeries:
     @property
     def n_samples(self) -> int:
         return len(self.codes if self.codes is not None else self.idle)
-
-    @property
-    def t_us(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.window_us
-
-    def validate(self) -> None:
-        """ValueError unless every window's fractions lie in [0, 1] and sum
-        to 1 within FRACTION_SUM_TOL, the rounding of the CSV format."""
-        total = self.idle + self.rx + self.tx + self.intf
-        if not np.all(np.abs(total - 1.0) <= FRACTION_SUM_TOL):
-            raise ValueError("MAC-state fractions must sum to 1 per window")
-        for arr in (self.idle, self.rx, self.tx, self.intf):
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-                raise ValueError("fractions must lie in [0, 1]")
-
-    def to_csv(self, path: str) -> None:
-        fmt = f".{CSV_DECIMALS}f"
-        write_csv(
-            path,
-            (("t_us", ""), ("idle", fmt), ("rx", fmt), ("tx", fmt), ("intf", fmt)),
-            zip(self.t_us, self.idle, self.rx, self.tx, self.intf),
-        )
-
-    @classmethod
-    def from_csv(cls, path: str) -> "MacStateSeries":
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        data = np.atleast_1d(data)
-        window = int(data["t_us"][1] - data["t_us"][0]) if len(data) > 1 else WINDOW_US
-        series = cls(
-            window_us=window,
-            idle=np.asarray(data["idle"], dtype=float),
-            rx=np.asarray(data["rx"], dtype=float),
-            tx=np.asarray(data["tx"], dtype=float),
-            intf=np.asarray(data["intf"], dtype=float),
-        )
-        series.validate()
-        return series
 
 
 def sample_mac_states(
