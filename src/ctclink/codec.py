@@ -225,9 +225,13 @@ class _ScheduleTable(dict):
         return schedule
 
 
-def _tail_positions(scheme: CodingScheme, rank: int) -> tuple[int, ...]:
-    """Punctured slots, mandatory ones included, of the tail-style schedule
-    whose extra punctures are the ``rank``-th choice of candidate slots."""
+def _rank_positions(scheme: CodingScheme, rank: int) -> tuple[int, ...]:
+    """Punctured slots, mandatory ones included, of the ``rank``-th of the
+    scheme's ``capacity`` schedules: the rank-th grid slot in moving style,
+    the rank-th choice of extra punctures in tail style."""
+    if scheme.style == "moving":
+        start = scheme.candidate_slots[rank] * scheme.mandatory_ms
+        return tuple(range(start, start + scheme.mandatory_ms))
     picked = combination_unrank(scheme.n_positions, scheme.extra_punctures, rank)
     extras = tuple(scheme.candidate_slots[i] for i in picked)
     return tuple(sorted(extras + scheme.mandatory_slots))
@@ -239,13 +243,7 @@ def encode_symbol(value: int, scheme: CodingScheme) -> PunctureSchedule:
         raise ValueError(
             f"value {value} outside alphabet of {scheme.alphabet_size} for {scheme.name}"
         )
-    if scheme.style == "moving":
-        grid_slot = scheme.candidate_slots[value]
-        start = grid_slot * scheme.mandatory_ms
-        positions = tuple(range(start, start + scheme.mandatory_ms))
-    else:
-        positions = _tail_positions(scheme, value)
-    return PunctureSchedule(scheme.symbol_ms, positions, value)
+    return PunctureSchedule(scheme.symbol_ms, _rank_positions(scheme, value), value)
 
 
 def decode_symbol(schedule: PunctureSchedule, scheme: CodingScheme) -> int:
@@ -308,8 +306,8 @@ def preamble_schedules(scheme: CodingScheme) -> tuple[PunctureSchedule, ...]:
             raise ValueError(
                 f"{scheme.name} has {surplus} surplus schedules; preamble needs 2"
             )
-        slots_a = _tail_positions(scheme, scheme.capacity - 1)
-        slots_b = _tail_positions(scheme, scheme.capacity - 2)
+        slots_a = _rank_positions(scheme, scheme.capacity - 1)
+        slots_b = _rank_positions(scheme, scheme.capacity - 2)
     a = PunctureSchedule(scheme.symbol_ms, slots_a, None)
     b = PunctureSchedule(scheme.symbol_ms, slots_b, None)
     return (a, b, a, b)

@@ -21,9 +21,9 @@ preamble are +-1, so every correlation is an integer (4n times its value
 in the cleaned domain), and the first maximum among the templates does
 not depend on the order in which any sum is taken.
 
-Templates and the preamble reference are built by running the actual
-transmit/sample/clean pipeline on a clean channel, so the noiseless
-loopback is exact by construction.
+Templates and the preamble reference come from one clean-channel run each
+of the actual transmit/sample/clean pipeline, so the noiseless loopback is
+exact by construction; a config refuses ON times with room for two symbols.
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ class ReceiverConfig:
     Samples are WINDOW_US windows cleaned with TAU1-TAU3.  templates and
     preamble hold the signs (+-1) of the cleaned references.  max_corr is
     the preamble's peak correlation in the cleaned domain, and the
-    synchronization threshold tau_p is TAU_P_FACTOR times it.  Every cycle
+    synchronization threshold tau_p is TAU_P_FACTOR times it.  One pipeline
+    run builds the templates and one the preamble, each schedule in a cycle
+    of its own, so every ON phase must hold one symbol.  Every cycle
     CsatConfig allows is a whole number of windows.  The ON time must be
     one too, or the window that ends it cleans to a value between the signs.
     """
@@ -152,15 +154,15 @@ class ReceiverConfig:
             raise ValueError(
                 f"ON time {csat.on_ms:g} ms is not a whole number of {WINDOW_US} us windows"
             )
+        require_one_symbol_per_on(scheme, csat)
         self.scheme = scheme
         self.csat = csat
         self.samples_per_cycle = csat.cycle_ms * 1000 // WINDOW_US  # W
         self.frame_symbols = frame_symbol_count(scheme)  # L
-        self.templates = np.stack(
-            [self._prototype(encode_symbol(v, scheme)) for v in range(scheme.alphabet_size)]
+        self.templates = self._references(
+            [encode_symbol(v, scheme) for v in range(scheme.alphabet_size)]
         )
-        pre = preamble_schedules(scheme)
-        self.preamble = np.concatenate([self._prototype(p) for p in pre])
+        self.preamble = self._references(preamble_schedules(scheme)).ravel()
         self.preamble_len = len(self.preamble)  # N = 4W
         # a perfect match of +-0.5 samples against the +-0.5 reference
         self.max_corr = float(self.preamble @ self.preamble) / 4
@@ -174,11 +176,12 @@ class ReceiverConfig:
             for e in np.flatnonzero(d[1:-1]) + 1
         )
 
-    def _prototype(self, schedule: PunctureSchedule) -> np.ndarray:
-        """Signs of the one-cycle cleaned reference, via the real pipeline."""
-        wave = generate_waveform(self.csat, [schedule], n_cycles=1)
-        link = RadioLink(distance_m=1.0)  # far above any ED threshold
-        return 2.0 * CODE_CLEANED[sample_mac_states(wave, link).codes]
+    def _references(self, schedules: Sequence[PunctureSchedule]) -> np.ndarray:
+        """Signs of each schedule's cleaned one-cycle reference, one row each:
+        one clean-channel pipeline run puts schedule i alone in cycle i."""
+        wave = generate_waveform(self.csat, schedules)
+        series = sample_mac_states(wave, RadioLink(distance_m=1.0))  # far above any ED threshold
+        return 2.0 * CODE_CLEANED[series.codes].reshape(len(schedules), self.samples_per_cycle)
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
         """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.

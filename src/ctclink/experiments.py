@@ -184,7 +184,6 @@ def run_stream(
 ) -> tuple[int, int]:
     """(frame errors, symbol errors) of one stream of frames with fresh traffic."""
     scheme, csat = config.scheme, config.csat
-    require_one_symbol_per_on(scheme, csat)
     tx_symbols = []
     schedules = []
     for _ in range(n_frames):

@@ -485,6 +485,7 @@ def full_stack_check(
     """
     scheme = scheme or get_scheme("wide20")
     csat = csat or CsatConfig(40, 20)
+    config = ReceiverConfig(scheme, csat)
     configurations, codebook = build_cluster_configurations(dep)
     cluster_ids = {
         bs.cell_id: [c.cluster_of(bs.cell_id) for c in configurations]
@@ -496,7 +497,6 @@ def full_stack_check(
         )
         for bs in dep.stations
     }
-    config = ReceiverConfig(scheme, csat)
     results = []
     for point in np.atleast_2d(np.asarray(points, dtype=float)):
         rx = received_powers_dbm(dep, point[None, :], shadowing=shadowing)[0]

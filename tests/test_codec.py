@@ -252,6 +252,16 @@ class TestPreamble:
         assert pre[0].positions == (17, 18, 19)
         assert pre[1].positions == (16, 18, 19)
 
+    def test_moving_surplus_preamble_is_its_last_two_ranks(self):
+        # a moving scheme without forbidden edges: 10 grid slots, 8 values
+        scheme = CodingScheme("m", 20, "moving")
+        pre = preamble_schedules(scheme)
+        assert pre[0].positions == (18, 19)  # rank capacity - 1: grid slot 9
+        assert pre[1].positions == (16, 17)  # rank capacity - 2: grid slot 8
+        for sched in pre[:2]:
+            with pytest.raises(InvalidSymbolError, match="reserved"):
+                decode_symbol(sched, scheme)
+
 
 class TestFraming:
     def test_payload_layout(self):

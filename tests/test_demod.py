@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctclink.codec import build_frame, frame_symbol_count, get_scheme
+from ctclink.codec import (
+    build_frame,
+    default_schemes,
+    encode_symbol,
+    frame_symbol_count,
+    get_scheme,
+    preamble_schedules,
+)
 from ctclink.demod import (
     CODE_CLEANED,
     CODE_SAMPLES,
@@ -33,7 +40,6 @@ from ctclink.phy import (
     WINDOW_US,
     CsatConfig,
     MacStateSeries,
-    Waveform,
     generate_waveform,
     sample_mac_states,
 )
@@ -212,13 +218,72 @@ class TestReceiverConfig:
            data=st.data())
     def test_whole_window_on_times_give_sign_references(self, name, cycle_ms, data):
         scheme = get_scheme(name)
-        # from the longest transmit span of a symbol up to half the cycle
-        span_ms = scheme.symbol_ms - (scheme.mandatory_ms if scheme.style == "tail" else 0)
         per_ms = 1000 // WINDOW_US
-        windows = data.draw(st.integers(span_ms * per_ms, cycle_ms * per_ms // 2))
+        lo, two = (per_ms * ms for ms in one_symbol_on_bounds(scheme))
+        windows = data.draw(st.integers(lo, min(two - 1, cycle_ms * per_ms // 2)))
         cfg = ReceiverConfig(scheme, CsatConfig(cycle_ms, windows / per_ms))
         assert set(np.unique(cfg.templates)) <= {-1.0, 1.0}
         assert set(np.unique(cfg.preamble)) <= {-1.0, 1.0}
+        # one window more has room for a second symbol's transmit span
+        if two <= cycle_ms * per_ms // 2:
+            with pytest.raises(ValueError, match="one symbol per ON phase"):
+                ReceiverConfig(scheme, CsatConfig(cycle_ms, two / per_ms))
+
+
+def one_symbol_on_bounds(scheme) -> tuple[int, int]:
+    """(longest transmit span of a symbol, symbol plus the shortest span) in
+    ms: ON times from the first up to below the second hold one symbol."""
+    tail = scheme.style == "tail"
+    longest = scheme.symbol_ms - (scheme.mandatory_ms if tail else 0)
+    shortest = scheme.symbol_ms - scheme.mandatory_ms - (scheme.extra_punctures if tail else 0)
+    return longest, scheme.symbol_ms + shortest
+
+
+def prototype_references(config: ReceiverConfig, schedules) -> np.ndarray:
+    """The per-value reference build: signs of each schedule's cleaned
+    one-cycle reference, from one pipeline run of a one-cycle waveform each."""
+    link = RadioLink(distance_m=1.0)
+    return np.stack([
+        2.0 * CODE_CLEANED[sample_mac_states(generate_waveform(config.csat, [s], n_cycles=1),
+                                             link).codes]
+        for s in schedules
+    ])
+
+
+def assert_references_match_prototypes(config: ReceiverConfig) -> None:
+    scheme = config.scheme
+    values = range(scheme.alphabet_size)
+    want = prototype_references(config, [encode_symbol(v, scheme) for v in values])
+    assert np.array_equal(config.templates, want)
+    want = prototype_references(config, preamble_schedules(scheme)).ravel()
+    assert np.array_equal(config.preamble, want)
+
+
+# every built-in scheme whose per-value reference build stays cheap
+ORACLE_SCHEMES = tuple(n for n, s in default_schemes().items() if s.alphabet_size <= 2048)
+
+
+class TestReferencesAgainstPrototypes:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(ORACLE_SCHEMES), cycle_ms=st.sampled_from(CYCLE_CHOICES),
+           data=st.data())
+    def test_batched_references_equal_per_value_ones(self, name, cycle_ms, data):
+        scheme = get_scheme(name)
+        per_ms = 1000 // WINDOW_US
+        lo, two = (per_ms * ms for ms in one_symbol_on_bounds(scheme))
+        windows = data.draw(st.integers(lo, min(two - 1, cycle_ms * per_ms // 2)))
+        assert_references_match_prototypes(
+            ReceiverConfig(scheme, CsatConfig(cycle_ms, windows / per_ms))
+        )
+
+    # wide20's ON phases longer than its symbol carry safety punctures that
+    # depend on where the symbol's last transmit run ends
+    @pytest.mark.parametrize("name, cycle_ms, on_ms", [
+        ("wide20", 80, 30), ("wide20", 80, 36), ("wide20", 160, 30), ("multi20-k9", 40, 20),
+    ])
+    def test_fixed_cases(self, name, cycle_ms, on_ms):
+        config = ReceiverConfig(get_scheme(name), CsatConfig(cycle_ms, on_ms))
+        assert_references_match_prototypes(config)
 
 
 class TestLoopback:
@@ -464,16 +529,13 @@ def _random_case(seed: int):
 
 def noisy_series(name: str, csat: CsatConfig, config: ReceiverConfig, seed: int):
     """MAC states of two and a half frames near the detection threshold,
-    under saturated WiFi traffic and ED measurement noise.
-
-    Every symbol gets a cycle of its own, as the receiver expects, so the
-    stream syncs and decodes at any cycle length.
+    under saturated WiFi traffic and ED measurement noise.  The config
+    holds one symbol per ON phase, so every symbol gets a cycle of its own.
     """
     rng = np.random.default_rng(seed)
     schedules = list(build_frame(NETWORK_ID, CLUSTERS, get_scheme(name)).schedules())
     schedules = schedules * 2 + schedules[:len(schedules) // 2]
-    cycles = [generate_waveform(csat, [s], n_cycles=1) for s in schedules]
-    wave = Waveform(csat, np.concatenate([w.tx for w in cycles])).with_lead_in(
+    wave = generate_waveform(csat, schedules).with_lead_in(
         int(rng.integers(0, 5 * config.samples_per_cycle))
     )
     traffic = scenario_traffic("background-high", wave.tx, wave.tx, rng)
@@ -547,12 +609,16 @@ class TestScanAgainstOracle:
 
 PROPERTY_SCHEMES = ("wide20", "short12", "multi20-k1", "multi20-k2", "multi20-k3", "multi20-k4")
 PROPERTY_CYCLES_MS = (40, 80, 160)
+# the large alphabets at one cycle length: their configs take the longest to build
+PROPERTY_CASES = [(name, cycle_ms) for name in PROPERTY_SCHEMES for cycle_ms in PROPERTY_CYCLES_MS]
+PROPERTY_CASES += [(f"multi20-k{k}", 40) for k in range(5, 10)]
 
 
 @functools.lru_cache(maxsize=None)
 def oracle_capture(name: str, cycle_ms: int):
-    """(config, cleaned capture, oracle frames, oracle state history)."""
-    csat = CsatConfig(cycle_ms, cycle_ms // 2)
+    """(config, cleaned capture, oracle frames, oracle state history) at
+    20 ms of ON time, which holds one symbol of every property scheme."""
+    csat = CsatConfig(cycle_ms, 20)
     config = ReceiverConfig(get_scheme(name), csat)
     cleaned = noisy_loopback(name, csat, config, seed=cycle_ms + len(name))
     history = []
@@ -560,8 +626,7 @@ def oracle_capture(name: str, cycle_ms: int):
 
 
 class TestChunkingProperty:
-    @pytest.mark.parametrize("cycle_ms", PROPERTY_CYCLES_MS)
-    @pytest.mark.parametrize("name", PROPERTY_SCHEMES)
+    @pytest.mark.parametrize("name, cycle_ms", PROPERTY_CASES)
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_chunking_does_not_change_decoding(self, name, cycle_ms, data):

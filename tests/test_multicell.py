@@ -30,6 +30,7 @@ from ctclink.multicell import (
     observation_at,
     received_powers_dbm,
 )
+from ctclink.phy import CsatConfig
 from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, PathlossModel, ShadowingField
 
 
@@ -509,3 +510,10 @@ class TestFullStack:
         flat = full_stack_check(dep, points)
         assert [r["stack_pairs"] for r in records] != [r["stack_pairs"] for r in flat]
         assert any(r["stack_pairs"] for r in records)
+
+    def test_on_phase_with_room_for_two_symbols_rejected(self):
+        # the receiver decodes one symbol per cycle: a 40 ms ON phase that
+        # carries two wide20 symbols is refused, not decoded wrongly
+        dep = build_hex_deployment(7)
+        with pytest.raises(ValueError, match="one symbol per ON phase"):
+            full_stack_check(dep, dep.positions_m[:1], csat=CsatConfig(80, 40))
