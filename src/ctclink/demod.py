@@ -21,9 +21,10 @@ preamble are +-1, so every correlation is an integer (4n times its value
 in the cleaned domain), and the first maximum among the templates does
 not depend on the order in which any sum is taken.
 
-Templates and the preamble reference come from one clean-channel run each
-of the actual transmit/sample/clean pipeline, so the noiseless loopback is
-exact by construction; a config refuses ON times with room for two symbols.
+Templates and the preamble reference come from clean-channel runs of the
+actual transmit/sample/clean pipeline, one per block of schedules, so the
+noiseless loopback is exact by construction; a config refuses ON times
+with room for two symbols.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ TAU_P_FACTOR = 0.75
 # lie in [-n, n], and their correlations with +-1 references by 4n
 SAMPLE_SCALE = 2 * (WINDOW_US // RESOLUTION_US)
 CORR_SCALE = 2 * SAMPLE_SCALE
+# schedules per pipeline run when ReceiverConfig builds its references
+REFERENCE_BLOCK = 1024
 
 
 def clean_signal(series: MacStateSeries) -> np.ndarray:
@@ -142,11 +145,12 @@ class ReceiverConfig:
     Samples are WINDOW_US windows cleaned with TAU1-TAU3.  templates and
     preamble hold the signs (+-1) of the cleaned references.  max_corr is
     the preamble's peak correlation in the cleaned domain, and the
-    synchronization threshold tau_p is TAU_P_FACTOR times it.  One pipeline
-    run builds the templates and one the preamble, each schedule in a cycle
-    of its own, so every ON phase must hold one symbol.  Every cycle
-    CsatConfig allows is a whole number of windows.  The ON time must be
-    one too, or the window that ends it cleans to a value between the signs.
+    synchronization threshold tau_p is TAU_P_FACTOR times it.  Pipeline runs
+    of up to REFERENCE_BLOCK schedules build the templates and the
+    preamble, each schedule in a cycle of its own, so every ON phase must
+    hold one symbol.  Every cycle CsatConfig allows is a whole number of
+    windows.  The ON time must be one too, or the window that ends it
+    cleans to a value between the signs.
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -178,10 +182,19 @@ class ReceiverConfig:
 
     def _references(self, schedules: Sequence[PunctureSchedule]) -> np.ndarray:
         """Signs of each schedule's cleaned one-cycle reference, one row each:
-        one clean-channel pipeline run puts schedule i alone in cycle i."""
-        wave = generate_waveform(self.csat, schedules)
-        series = sample_mac_states(wave, RadioLink(distance_m=1.0))  # far above any ED threshold
-        return 2.0 * CODE_CLEANED[series.codes].reshape(len(schedules), self.samples_per_cycle)
+        clean-channel pipeline runs put schedule i alone in cycle i, laying
+        REFERENCE_BLOCK schedules per run so that no run's per-tick arrays
+        outgrow one block."""
+        W = self.samples_per_cycle
+        out = np.empty((len(schedules), W))
+        for i in range(0, len(schedules), REFERENCE_BLOCK):
+            block = schedules[i:i + REFERENCE_BLOCK]
+            wave = generate_waveform(self.csat, block)
+            # a link far above any ED threshold
+            series = sample_mac_states(wave, RadioLink(distance_m=1.0))
+            cleaned = CODE_CLEANED[series.codes].reshape(len(block), W)
+            np.multiply(cleaned, 2.0, out=out[i:i + len(block)])
+        return out
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
         """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.

@@ -14,12 +14,13 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
+from . import timing
 from ._csv import write_csv
 from .codec import N_CLUSTER_FIELDS, build_frame, get_scheme
 from .demod import (
     DecodedFrame,
+    Demodulator,
     ReceiverConfig,
-    demodulate,
     measure_fer_ser,
     require_one_symbol_per_on,
 )
@@ -29,10 +30,14 @@ from .phy import (
     WINDOW_US,
     CsatConfig,
     TrafficTrace,
+    Waveform,
+    WifiFrames,
+    coverage,
     generate_waveform,
-    poisson_traffic,
+    poisson_frames,
     sample_mac_states,
-    saturated_traffic,
+    saturated_frames,
+    tick_runs,
 )
 from .radio import RadioLink, map_ed_register
 
@@ -52,6 +57,9 @@ DEFAULT_ED_NOISE_SIGMA_DB = 0.6
 # Default sweeps: the register's threshold +- POWER_SPAN_DB in POWER_STEP_DB steps.
 POWER_SPAN_DB = 4.0
 POWER_STEP_DB = 0.5
+# Duty cycles that run_stream lays, samples and decodes at a time: about one
+# wide20 frame (86 cycles, 68,800 ticks at 40 ms)
+CHUNK_CYCLES = 86
 # z of the 95% Wilson interval around each FER estimate.
 WILSON_Z = 1.96
 # FER levels that define a curve's knee and drop (see knee_metrics).
@@ -125,21 +133,40 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 # Single-stream simulation.
 # ---------------------------------------------------------------------------
 
+def scenario_frames(
+    scenario: str,
+    n_ticks: int,
+    lte_runs: tuple[np.ndarray, np.ndarray],
+    busy_runs: tuple[np.ndarray, np.ndarray],
+    rng: np.random.Generator,
+) -> WifiFrames | None:
+    """WiFi frames at the monitoring node for one named scenario.
+
+    lte_runs are the LTE source's transmit runs, busy_runs the runs the
+    WiFi sender defers to, both as (starts, ends) tick arrays.
+    """
+    if scenario == "clear":
+        return None
+    kind = "tx" if scenario.startswith("apdl") else "rx"
+    if scenario.endswith("light"):
+        starts, lengths = poisson_frames(n_ticks, busy_runs, LIGHT_RATE_FPS, WIFI_FRAME_US, rng)
+    else:
+        starts, lengths = saturated_frames(
+            n_ticks, busy_runs, SATURATED_BURST_US, rng, straddle_prob=STRADDLE_PROB
+        )
+    return WifiFrames.launch(starts, lengths, kind, lte_runs, n_ticks)
+
+
 def scenario_traffic(
     scenario: str,
     lte_energy: np.ndarray,
     busy_mask: np.ndarray,
     rng: np.random.Generator,
 ) -> TrafficTrace | None:
-    """WiFi activity at the monitoring node for one named scenario."""
-    if scenario == "clear":
-        return None
-    kind = "tx" if scenario.startswith("apdl") else "rx"
-    if scenario.endswith("light"):
-        return poisson_traffic(lte_energy, busy_mask, LIGHT_RATE_FPS, WIFI_FRAME_US, kind, rng)
-    return saturated_traffic(
-        lte_energy, busy_mask, SATURATED_BURST_US, kind, rng, straddle_prob=STRADDLE_PROB
-    )
+    """scenario_frames on the runs of the two masks, painted as one chunk."""
+    n_ticks = len(lte_energy)
+    frames = scenario_frames(scenario, n_ticks, tick_runs(lte_energy), tick_runs(busy_mask), rng)
+    return None if frames is None else frames.paint(0, n_ticks)
 
 
 def _random_payload(rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
@@ -182,28 +209,72 @@ def run_stream(
     n_frames: int,
     rng: np.random.Generator,
 ) -> tuple[int, int]:
-    """(frame errors, symbol errors) of one stream of frames with fresh traffic."""
+    """(frame errors, symbol errors) of one stream of frames with fresh traffic.
+
+    The stream first draws its payloads, its lead-in and the WiFi traffic
+    of the whole stream, as frame starts and lengths on the LTE transmit
+    runs.  It then lays, samples and decodes itself in chunks of
+    CHUNK_CYCLES duty cycles, the first chunk with the lead-in: each chunk
+    paints its LTE transmissions and WiFi frames, draws its own ED noise
+    and feeds its state codes to one Demodulator.  The draws come in the
+    same order as for the whole stream at once, and no per-tick array is
+    longer than one chunk plus the lead-in.  Cycle c holds schedule c
+    alone (ReceiverConfig refuses room for two symbols) and ends in OFF
+    time (duty at most 50%), so a chunk's waveform is that of its own
+    schedules and no transmit run crosses a chunk's edge.  Each step is a
+    stage of timing.
+    """
     scheme, csat = config.scheme, config.csat
-    tx_symbols = []
-    schedules = []
-    for _ in range(n_frames):
-        network_id, clusters = _random_payload(rng)
-        stream = build_frame(network_id, clusters, scheme)
-        tx_symbols.append(list(stream.data))
-        schedules.extend(stream.schedules())
-    wave = generate_waveform(csat, schedules)
+    with timing.stage("frame_build"):
+        tx_symbols = []
+        schedules = []
+        for _ in range(n_frames):
+            network_id, clusters = _random_payload(rng)
+            stream = build_frame(network_id, clusters, scheme)
+            tx_symbols.append(list(stream.data))
+            schedules.extend(stream.schedules())
     lead_windows = int(rng.integers(0, 2 * config.samples_per_cycle))
-    wave = wave.with_lead_in(lead_windows * (WINDOW_US // RESOLUTION_US))
+    ticks_per_window = WINDOW_US // RESOLUTION_US
+    lead = lead_windows * ticks_per_window
+    cycle_ticks = config.samples_per_cycle * ticks_per_window
+    # generate_waveform lays one plain cycle when there are no symbols
+    n_cycles = max(1, len(schedules))
+    firsts = range(0, n_cycles, CHUNK_CYCLES)
+    # chunk k covers ticks [edges[k], edges[k + 1])
+    edges = [0] + [lead + c * cycle_ticks for c in firsts[1:]] + [lead + n_cycles * cycle_ticks]
 
+    with timing.stage("waveform"):
+        # the transmit runs on the stream's tick axis, laid chunk by chunk
+        lte_starts, lte_ends = np.concatenate([
+            np.stack(tick_runs(generate_waveform(csat, schedules[c:c + CHUNK_CYCLES]).tx))
+            + (lead + c * cycle_ticks)
+            for c in firsts
+        ], axis=1)
     sensed = link.mean_rx_dbm() >= link.ed_threshold_dbm
-    busy = wave.tx if sensed else np.zeros(wave.n_ticks, dtype=bool)
-    traffic = scenario_traffic(scenario, wave.tx, busy, rng)
-    series = sample_mac_states(
-        wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
-    )
+    busy_runs = (lte_starts, lte_ends) if sensed else (np.zeros(0, dtype=np.int64),) * 2
+    with timing.stage("traffic"):
+        frames = scenario_frames(scenario, edges[-1], (lte_starts, lte_ends), busy_runs, rng)
 
-    frames = demodulate(series, config)
-    aligned = align_to_schedule(frames, n_frames, lead_windows, config)
+    demod = Demodulator(config)
+    decoded = []
+    # no run crosses a chunk's edge: runs bounds[k] to bounds[k + 1] are chunk k's
+    bounds = np.searchsorted(lte_starts, edges).tolist()
+    for k, (t0, t1) in enumerate(zip(edges, edges[1:])):
+        with timing.stage("waveform"):
+            i, j = bounds[k], bounds[k + 1]
+            wave = Waveform(csat, coverage(lte_starts[i:j] - t0, lte_ends[i:j] - t0, t1 - t0))
+        with timing.stage("traffic"):
+            traffic = None if frames is None else frames.paint(t0, t1)
+        with timing.stage("sampler"):
+            series = sample_mac_states(
+                wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
+            )
+        with timing.stage("receiver"):
+            decoded += demod.feed(series)
+    with timing.stage("receiver"):
+        decoded += demod.finish()
+    with timing.stage("align"):
+        aligned = align_to_schedule(decoded, n_frames, lead_windows, config)
     return measure_fer_ser(tx_symbols, aligned)
 
 

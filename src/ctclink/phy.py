@@ -19,6 +19,7 @@ transmit mask, punctures included.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +38,7 @@ CYCLE_CHOICES = (40, 80, 160)
 # a >=2 ms puncture is required within every 20 ms of ON time
 MAX_ON_RUN_MS = 20
 SAFETY_GAP_MS = 2
-# doubles drawn at a time by saturated_traffic
+# doubles drawn at a time by saturated_frames
 DRAW_BLOCK = 4096
 # a window's state code is rx + CODE_BASE * tx + CODE_BASE**2 * intf, its
 # tick counts in those states: each count is at most the window's ticks,
@@ -201,14 +202,14 @@ class TrafficTrace:
         return len(self.tx)
 
 
-def _runs(mask: np.ndarray) -> tuple[list[int], list[int]]:
-    """(starts, ends) of the maximal True runs of a bool mask, as ints."""
+def tick_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) of the maximal True runs of a bool mask, as int64 arrays."""
     padded = np.concatenate([[False], mask, [False]])
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[::2].tolist(), edges[1::2].tolist()
+    return edges[::2], edges[1::2]
 
 
-def _coverage(starts: np.ndarray, ends: np.ndarray, n_ticks: int) -> np.ndarray:
+def coverage(starts: np.ndarray, ends: np.ndarray, n_ticks: int) -> np.ndarray:
     """Ticks covered by at least one of the half-open intervals [start, end).
 
     The starts of the non-empty intervals must be in ascending order.
@@ -228,50 +229,91 @@ def _coverage(starts: np.ndarray, ends: np.ndarray, n_ticks: int) -> np.ndarray:
     return np.logical_xor.accumulate(toggles[:n_ticks])
 
 
-def _paint_frames(
-    starts: Sequence[int], lengths: np.ndarray | int, kind: str, lte_tx: np.ndarray
-) -> TrafficTrace:
-    """Trace of WiFi frames launched at ``starts``, each ``lengths`` ticks long.
+@dataclass
+class WifiFrames:
+    """WiFi frames at the sampling node as tick intervals, painted on demand.
 
-    Starts are in ascending order.  Frames are clipped at the end of the
-    trace and may overlap.  A "tx" frame is the node's own transmission.  An
-    "rx" frame is locked from its start up to the first LTE tick at or after
-    it, and energy only from there on, so a frame that starts under LTE
-    energy never locks.  The non-empty energy-only parts start in ascending
-    order too: a later frame that starts while an earlier one is still
-    locked has the same next LTE tick, so its energy-only part is empty or
-    starts at that tick.
+    Frame i covers [starts[i], ends[i]).  A "tx" frame is the node's own
+    transmission throughout.  An "rx" frame is locked from its start up to
+    the first tick at or after it inside a transmit run of the LTE source,
+    and energy only from there on, so a frame that starts under LTE energy
+    never locks.  lte_ends holds the ends of those runs and lte_next their
+    starts followed by the stream's length.  Starts are in ascending order
+    and no frame is longer than ``longest`` ticks.  paint() lays the frames
+    of any tick range as a TrafficTrace, so a stream can draw its traffic
+    once and lay it chunk by chunk.
     """
-    n_ticks = len(lte_tx)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.minimum(starts + lengths, n_ticks)
-    silent = np.zeros(n_ticks, dtype=bool)
-    if kind == "tx":
-        return TrafficTrace(_coverage(starts, ends, n_ticks), silent, silent.copy())
-    lte_starts, lte_ends = _runs(lte_tx)
-    # first LTE run ending after each start; past the last run, no LTE follows
-    run = np.searchsorted(lte_ends, starts, side="right")
-    next_lte = np.maximum(starts, np.asarray(lte_starts + [n_ticks], dtype=np.int64)[run])
-    stomp = np.minimum(next_lte, ends)
-    return TrafficTrace(
-        silent, _coverage(starts, stomp, n_ticks), _coverage(stomp, ends, n_ticks)
-    )
+
+    kind: str
+    starts: np.ndarray
+    ends: np.ndarray
+    longest: int
+    lte_ends: np.ndarray
+    lte_next: np.ndarray
+
+    @classmethod
+    def launch(
+        cls,
+        starts: np.ndarray,
+        lengths: np.ndarray | int,
+        kind: str,
+        lte_runs: tuple[np.ndarray, np.ndarray],
+        n_ticks: int,
+    ) -> "WifiFrames":
+        """Frames launched at ascending ``starts``, each ``lengths`` ticks long,
+        over a stream of ``n_ticks`` ticks whose LTE transmit runs are
+        ``lte_runs`` (starts, ends).  Frames are clipped at the stream's end
+        and may overlap."""
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = starts + lengths
+        np.minimum(ends, n_ticks, out=ends)
+        lte_starts, lte_ends = lte_runs
+        return cls(kind, starts, ends, int(np.max(lengths, initial=0)),
+                   lte_ends, np.append(lte_starts, n_ticks))
+
+    def paint(self, t0: int, t1: int) -> TrafficTrace:
+        """The trace of ticks [t0, t1), tick t0 at index 0.
+
+        The non-empty energy-only parts of "rx" frames start in ascending
+        order, as coverage needs: a later frame that starts while an earlier
+        one is still locked has the same next LTE tick, so its energy-only
+        part is empty or starts at that tick.
+        """
+        # frames that start at or before t0 - longest end by t0
+        lo = np.searchsorted(self.starts, t0 - self.longest, side="right")
+        hi = np.searchsorted(self.starts, t1)
+        starts, ends = self.starts[lo:hi], self.ends[lo:hi]
+        n_ticks = t1 - t0
+
+        def clip(ticks: np.ndarray) -> np.ndarray:
+            return np.clip(ticks, t0, t1) - t0
+
+        silent = np.zeros(n_ticks, dtype=bool)
+        if self.kind == "tx":
+            return TrafficTrace(coverage(clip(starts), clip(ends), n_ticks), silent, silent.copy())
+        # first LTE run ending after each start; past the last run, no LTE follows
+        run = np.searchsorted(self.lte_ends, starts, side="right")
+        stomps = clip(np.minimum(np.maximum(starts, self.lte_next[run]), ends))
+        starts, ends = clip(starts), clip(ends)
+        return TrafficTrace(
+            silent, coverage(starts, stomps, n_ticks), coverage(stomps, ends, n_ticks)
+        )
 
 
-def poisson_traffic(
-    lte_tx: np.ndarray,
-    busy_mask: np.ndarray,
+def poisson_frames(
+    n_ticks: int,
+    busy_runs: tuple[np.ndarray, np.ndarray],
     rate_fps: float,
     frame_us: float,
-    kind: str,
     rng: np.random.Generator,
-) -> TrafficTrace:
-    """Open-loop arrivals: frames queue behind each other and defer to the
-    sender's busy mask, then run to completion once started.
+) -> tuple[np.ndarray, int]:
+    """Open-loop arrivals over ``n_ticks`` ticks: frames queue behind each
+    other and defer to the sender's busy runs, then run to completion once
+    started.  Returns the frames' starts and their common length in ticks.
 
     Frame i starts at s_i = nf(max(a_i, s_{i-1} + F)), where a_i is its
     arrival tick, F the frame length in ticks and nf(t) the first tick at
-    or after t outside the busy mask.  Frames that would start past the
+    or after t outside the busy runs.  Frames that would start past the
     end are dropped.  The draws are one poisson (the frame count) and one
     integers call (the arrival ticks), in that order.
 
@@ -290,18 +332,16 @@ def poisson_traffic(
     arrival that round raised.  That bounds the worst case to a few rounds
     plus the walk.
     """
-    n_ticks = len(lte_tx)
     frame_ticks = max(1, round(frame_us / RESOLUTION_US))
     duration_s = n_ticks * RESOLUTION_US / 1e6
     n_frames = rng.poisson(rate_fps * duration_s)
     arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
-    busy_starts, busy_ends = _runs(busy_mask)
-    run_starts = np.asarray(busy_starts, dtype=np.int64)
+    busy_starts, busy_ends = busy_runs
     # end of the last busy run starting at or before a tick; 0 before the first
-    run_ends = np.asarray([0] + busy_ends, dtype=np.int64)
+    run_ends = np.concatenate([[0], busy_ends]).astype(np.int64)
 
     def next_free(t: np.ndarray) -> np.ndarray:
-        return np.maximum(t, run_ends[np.searchsorted(run_starts, t, side="right")])
+        return np.maximum(t, run_ends[np.searchsorted(busy_starts, t, side="right")])
 
     starts = next_free(arrivals)
     offsets = np.arange(len(starts), dtype=np.int64) * frame_ticks
@@ -323,11 +363,12 @@ def poisson_traffic(
         if 2 * raised.size > raised_before:
             walked = []
             free_at = int(starts[final - 1]) + frame_ticks
+            run_starts, run_stops = busy_starts.tolist(), busy_ends.tolist()
             for arr in arrivals[final:len(starts)].tolist():
                 start = arr if arr > free_at else free_at
-                run = bisect_right(busy_starts, start) - 1
-                if run >= 0 and start < busy_ends[run]:
-                    start = busy_ends[run]
+                run = bisect_right(run_starts, start) - 1
+                if run >= 0 and start < run_stops[run]:
+                    start = run_stops[run]
                 if start >= n_ticks:
                     break
                 walked.append(start)
@@ -335,7 +376,7 @@ def poisson_traffic(
             starts = np.concatenate([starts[:final], np.asarray(walked, dtype=np.int64)])
             break
         raised_before = raised.size
-    return _paint_frames(starts, frame_ticks, kind, lte_tx)
+    return starts, frame_ticks
 
 
 def _ticks(lo: float, span: float, doubles: np.ndarray) -> list[int]:
@@ -346,20 +387,21 @@ def _ticks(lo: float, span: float, doubles: np.ndarray) -> list[int]:
     return np.maximum(1, np.rint((lo + span * doubles) / RESOLUTION_US)).astype(np.int64).tolist()
 
 
-def saturated_traffic(
-    lte_tx: np.ndarray,
-    busy_mask: np.ndarray,
+def saturated_frames(
+    n_ticks: int,
+    busy_runs: tuple[np.ndarray, np.ndarray],
     frame_us: float | tuple[float, float],
-    kind: str,
     rng: np.random.Generator,
     straddle_prob: float = 0.0,
-) -> TrafficTrace:
-    """Backlogged sender: fills every idle run with frames separated by
-    contention gaps drawn from CONTENTION_GAP_US.  frame_us may be a
-    (low, high) range, drawn per launch, for senders whose aggregated burst
-    length varies.  With probability straddle_prob the frame that no longer
-    fits an idle run is launched anyway and overruns into the LTE ON phase,
-    which models imperfect carrier sensing at the run boundary.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backlogged sender over ``n_ticks`` ticks: fills every idle run between
+    the busy runs with frames separated by contention gaps drawn from
+    CONTENTION_GAP_US.  Returns the frames' starts and lengths in ticks.
+    frame_us may be a (low, high) range, drawn per launch, for senders
+    whose aggregated burst length varies.  With probability straddle_prob
+    the frame that no longer fits an idle run is launched anyway and
+    overruns into the LTE ON phase, which models imperfect carrier sensing
+    at the run boundary.
 
     The idle runs are walked in order.  Each launch draws a uniform gap,
     then a uniform frame length (range frame_us only); a frame that does
@@ -371,6 +413,8 @@ def saturated_traffic(
     ticks, its frame length in ticks and its straddle decision are computed
     up front with numpy, since which of the three a double becomes is only
     known during the walk; the walk itself then only indexes and adds ints.
+    Only the current block's values are kept, with the at most two doubles
+    of the block before that a launch may still need.
     """
     ranged = isinstance(frame_us, tuple)
     gap_lo, gap_span = CONTENTION_GAP_US[0], CONTENTION_GAP_US[1] - CONTENTION_GAP_US[0]
@@ -381,30 +425,36 @@ def saturated_traffic(
     else:
         fixed_ticks = max(1, round(frame_us / RESOLUTION_US))
     saved = rng.bit_generator.state
-    # per double drawn so far: as a gap, as a frame length, as a straddle draw
+    # per double kept, from double number `base` on: as a gap, as a frame
+    # length, as a straddle draw; i indexes them
     gap_ticks: list[int] = []
     burst_ticks: list[int] = []
     straddles: list[bool] = []
-    drawn = used = 0
+    base = i = 0
 
-    starts, lengths = [], []
-    for run_start, run_end in zip(*_runs(~busy_mask)):
+    busy_starts, busy_ends = busy_runs
+    idle_starts = np.concatenate([[0], busy_ends]).astype(np.int64)
+    idle_ends = np.concatenate([busy_starts, [n_ticks]]).astype(np.int64)
+    idle = idle_starts < idle_ends
+    starts, lengths = array("q"), array("q")
+    for run_start, run_end in zip(idle_starts[idle].tolist(), idle_ends[idle].tolist()):
         pos = run_start
         while pos < run_end:
-            if used + 3 > drawn:  # a launch takes at most three doubles
-                drawn += DRAW_BLOCK
+            if i + 3 > len(gap_ticks):  # a launch takes at most three doubles
                 block = rng.random(DRAW_BLOCK)
-                gap_ticks += _ticks(gap_lo, gap_span, block)
+                gap_ticks = gap_ticks[i:] + _ticks(gap_lo, gap_span, block)
                 if ranged:
-                    burst_ticks += _ticks(frame_lo, frame_span, block)
-                straddles += (block < straddle_prob).tolist()
-            pos += gap_ticks[used]
-            used += 1
+                    burst_ticks = burst_ticks[i:] + _ticks(frame_lo, frame_span, block)
+                straddles = straddles[i:] + (block < straddle_prob).tolist()
+                base += i
+                i = 0
+            pos += gap_ticks[i]
+            i += 1
             if pos >= run_end:
                 break
             if ranged:
-                frame_ticks = burst_ticks[used]
-                used += 1
+                frame_ticks = burst_ticks[i]
+                i += 1
             else:
                 frame_ticks = fixed_ticks
             if pos + frame_ticks <= run_end:
@@ -412,15 +462,15 @@ def saturated_traffic(
                 lengths.append(frame_ticks)
                 pos += frame_ticks
             else:
-                if straddles[used]:
+                if straddles[i]:
                     starts.append(pos)
                     lengths.append(frame_ticks)
-                used += 1
+                i += 1
                 break
 
     rng.bit_generator.state = saved
-    rng.random(used)
-    return _paint_frames(starts, np.asarray(lengths, dtype=np.int64), kind, lte_tx)
+    rng.random(base + i)
+    return np.frombuffer(starts, dtype=np.int64), np.frombuffer(lengths, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

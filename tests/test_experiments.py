@@ -2,13 +2,20 @@
 sweep determinism, knee extraction, and scenario behavior."""
 
 import math
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctclink import experiments
 from ctclink.experiments import (
     DEFAULT_ED_NOISE_SIGMA_DB,
+    SCENARIOS,
     EdSweepResult,
     ExperimentSpec,
     KneeSummary,
@@ -26,8 +33,15 @@ from ctclink.experiments import (
 )
 from ctclink.analytics import rate_airtime_table
 from ctclink.codec import default_schemes, encode_symbol, get_scheme, preamble_schedules
-from ctclink.demod import ReceiverConfig, demodulate
-from ctclink.phy import CsatConfig, MacStateSeries, generate_waveform, sample_mac_states
+from ctclink.demod import Demodulator, ReceiverConfig, demodulate, measure_fer_ser
+from ctclink.phy import (
+    RESOLUTION_US,
+    WINDOW_US,
+    CsatConfig,
+    MacStateSeries,
+    generate_waveform,
+    sample_mac_states,
+)
 from ctclink.codec import build_frame
 from ctclink.radio import RadioLink, map_ed_register
 
@@ -255,21 +269,145 @@ class TestRunStream:
     def test_makes_no_fraction_arrays(self, monkeypatch):
         # the sampler's state codes reach the receiver, which cleans them by lookup
         seen = []
+        feed = Demodulator.feed
 
-        def spy(series, config):
+        def spy(self, series):
             seen.append(series)
-            return demodulate(series, config)
+            return feed(self, series)
 
         def refuse(self, count):
             raise AssertionError("a MAC-state fraction array was made")
 
         config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
-        monkeypatch.setattr(experiments, "demodulate", spy)
+        monkeypatch.setattr(Demodulator, "feed", spy)
         monkeypatch.setattr(MacStateSeries, "_fraction", refuse)
         for scenario in ("clear", "background-high", "apdl-light"):
             run_stream(config, RadioLink.at_rx_power(-61.5, ed_register=28), scenario, 2,
                        np.random.default_rng(5))
-        assert len(seen) == 3 and all(series.codes is not None for series in seen)
+        # two 86-cycle frames are two chunks per stream
+        assert len(seen) == 6 and all(series.codes is not None for series in seen)
+
+
+# ---------------------------------------------------------------------------
+# run_stream as it was before it worked in chunks: every per-tick array of
+# the stream is built before the receiver reads any of them.  The chunked
+# stream must match it in its codes, its decoded frames and its draws.
+# ---------------------------------------------------------------------------
+
+def whole_stream(config, link, scenario, n_frames, rng):
+    """(codes, decoded frames, counts) of one stream laid and sampled at once."""
+    tx_symbols, schedules = [], []
+    for _ in range(n_frames):
+        network_id, clusters = experiments._random_payload(rng)
+        stream = build_frame(network_id, clusters, config.scheme)
+        tx_symbols.append(list(stream.data))
+        schedules.extend(stream.schedules())
+    wave = generate_waveform(config.csat, schedules)
+    lead_windows = int(rng.integers(0, 2 * config.samples_per_cycle))
+    wave = wave.with_lead_in(lead_windows * (WINDOW_US // RESOLUTION_US))
+    sensed = link.mean_rx_dbm() >= link.ed_threshold_dbm
+    busy = wave.tx if sensed else np.zeros(wave.n_ticks, dtype=bool)
+    traffic = scenario_traffic(scenario, wave.tx, busy, rng)
+    series = sample_mac_states(
+        wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
+    )
+    frames = demodulate(series, config)
+    aligned = align_to_schedule(frames, n_frames, lead_windows, config)
+    return series.codes, frames, measure_fer_ser(tx_symbols, aligned)
+
+
+def chunked_stream(config, link, scenario, n_frames, rng, chunk_cycles):
+    """(codes, decoded frames, counts, longest chunk fed) of run_stream."""
+    fed, decoded = [], []
+    feed = Demodulator.feed
+
+    def spy_feed(self, series):
+        fed.append(series.codes)
+        return feed(self, series)
+
+    def spy_align(frames, *args):
+        decoded.extend(frames)
+        return align_to_schedule(frames, *args)
+
+    with mock.patch.object(experiments, "CHUNK_CYCLES", chunk_cycles), \
+            mock.patch.object(Demodulator, "feed", spy_feed), \
+            mock.patch.object(experiments, "align_to_schedule", spy_align):
+        counts = run_stream(config, link, scenario, n_frames, rng)
+    return np.concatenate(fed), decoded, counts, max(map(len, fed))
+
+
+CONFIGS = {
+    "wide20 40/20": ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20)),
+    "short12 80/19": ReceiverConfig(get_scheme("short12"), CsatConfig(80, 19)),
+}
+
+
+def assert_chunked_equals_whole(config, link, scenario, n_frames, seed, chunk_cycles):
+    rng_whole, rng_chunked = np.random.default_rng(seed), np.random.default_rng(seed)
+    codes, frames, counts = whole_stream(config, link, scenario, n_frames, rng_whole)
+    got_codes, got_frames, got_counts, longest = chunked_stream(
+        config, link, scenario, n_frames, rng_chunked, chunk_cycles)
+    assert np.array_equal(got_codes, codes)
+    assert got_frames == frames
+    assert got_counts == counts
+    assert rng_chunked.bit_generator.state == rng_whole.bit_generator.state
+    # no chunk is longer than its cycles plus the lead-in, under two cycles
+    assert longest < (chunk_cycles + 2) * config.samples_per_cycle
+
+
+class TestChunkedStream:
+    @settings(max_examples=40, deadline=None)
+    @given(config=st.sampled_from(sorted(CONFIGS)), scenario=st.sampled_from(SCENARIOS),
+           theta=st.sampled_from([3, 28]),
+           # dB from the register's threshold: below it the sender does not sense
+           # the LTE cell, and inside +-8 sigma = 4.8 dB each tick draws ED noise
+           offset_db=st.sampled_from([-10.0, -4.5, -1.0, 0.0, 0.5, 2.0, 4.5, 6.0]),
+           n_frames=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           chunk_cycles=st.sampled_from([1, 2, 7]))
+    def test_matches_whole_stream(self, config, scenario, theta, offset_db, n_frames, seed,
+                                  chunk_cycles):
+        link = RadioLink.at_rx_power(map_ed_register(theta) + offset_db, ed_register=theta)
+        assert_chunked_equals_whole(CONFIGS[config], link, scenario, n_frames, seed,
+                                    chunk_cycles)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("extra_cycles", [1, 0, -1])
+    def test_chunk_edges_around_one_frame(self, scenario, extra_cycles):
+        # one frame in a chunk one cycle longer than it, exactly as long, and
+        # one cycle shorter, which leaves a second chunk of one cycle
+        config = CONFIGS["wide20 40/20"]
+        cycles = 4 + config.frame_symbols  # preamble and data
+        link = RadioLink.at_rx_power(-61.0, ed_register=28)
+        assert_chunked_equals_whole(config, link, scenario, 1, 17, cycles + extra_cycles)
+
+    def test_default_chunk_is_one_wide20_frame(self):
+        assert experiments.CHUNK_CYCLES == 4 + CONFIGS["wide20 40/20"].frame_symbols
+
+
+class TestStreamMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_long_stream_peaks_near_a_short_one(self):
+        # a 200-frame stream lays no per-tick array longer than one chunk, so
+        # its peak RSS stays within 10 MB of a 10-frame stream's
+        code = (
+            "import resource, numpy as np\n"
+            "from ctclink.codec import get_scheme\n"
+            "from ctclink.demod import ReceiverConfig\n"
+            "from ctclink.experiments import run_stream\n"
+            "from ctclink.phy import CsatConfig\n"
+            "from ctclink.radio import RadioLink\n"
+            "config = ReceiverConfig(get_scheme('wide20'), CsatConfig(40, 20))\n"
+            "link = RadioLink.at_rx_power(-66.0, ed_register=28)\n"
+            "for n in (10, 200):\n"
+            "    run_stream(config, link, 'background-high', n, np.random.default_rng(n))\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(experiments.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        short_kb, long_kb = map(int, out.split())
+        assert long_kb - short_kb < 10 * 1024
 
 
 class TestLinkSweep:

@@ -27,10 +27,13 @@ from ctclink.phy import (
     SchedulingError,
     TrafficTrace,
     Waveform,
+    WifiFrames,
+    coverage,
     generate_waveform,
-    poisson_traffic,
+    poisson_frames,
     sample_mac_states,
-    saturated_traffic,
+    saturated_frames,
+    tick_runs,
 )
 from ctclink.radio import RadioLink
 
@@ -39,6 +42,20 @@ SCHEMES = default_schemes()
 
 def link_at(rx_dbm: float, **kw) -> RadioLink:
     return RadioLink.at_rx_power(rx_dbm, **kw)
+
+
+def poisson_traffic(lte_tx, busy_mask, rate_fps, frame_us, kind, rng):
+    """poisson_frames on the runs of busy_mask, painted over all of lte_tx."""
+    n_ticks = len(lte_tx)
+    starts, frame_ticks = poisson_frames(n_ticks, tick_runs(busy_mask), rate_fps, frame_us, rng)
+    return WifiFrames.launch(starts, frame_ticks, kind, tick_runs(lte_tx), n_ticks).paint(0, n_ticks)
+
+
+def saturated_traffic(lte_tx, busy_mask, frame_us, kind, rng, straddle_prob=0.0):
+    """saturated_frames on the runs of busy_mask, painted over all of lte_tx."""
+    n_ticks = len(lte_tx)
+    starts, lengths = saturated_frames(n_ticks, tick_runs(busy_mask), frame_us, rng, straddle_prob)
+    return WifiFrames.launch(starts, lengths, kind, tick_runs(lte_tx), n_ticks).paint(0, n_ticks)
 
 
 def silent_trace(n_ticks: int) -> TrafficTrace:
@@ -374,6 +391,14 @@ frame_us_st = st.one_of(
     st.floats(10.0, 6000.0),
     st.tuples(st.floats(10.0, 6000.0), st.floats(10.0, 6000.0)).map(lambda r: tuple(sorted(r))),
 )
+
+
+class TestRuns:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.booleans(), max_size=200))
+    def test_coverage_redraws_a_mask(self, bits):
+        mask = np.array(bits, dtype=bool)
+        assert np.array_equal(coverage(*tick_runs(mask), len(mask)), mask)
 
 
 class TestTrafficMatchesReference:
