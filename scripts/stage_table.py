@@ -2,9 +2,9 @@
 
 Each stream is experiments.run_stream at CSAT 40/20 ms and -61 dBm with
 default_rng(5), at ED registers 3 (threshold -92 dBm, no ED noise) and 28
-(threshold -62 dBm, one normal per tick).  Each figure is the best of
-REPEATS runs in ms, per stage and for the whole stream.  Run from the
-repository root:
+(threshold -62 dBm, one binomial ED-noise count per window).  Each figure
+is the best of REPEATS runs in ms, per stage and for the whole stream.
+Run from the repository root:
 
     PYTHONPATH=src python scripts/stage_table.py [--json]
 """

@@ -67,6 +67,8 @@ SAMPLE_SCALE = 2 * (WINDOW_US // RESOLUTION_US)
 CORR_SCALE = 2 * SAMPLE_SCALE
 # schedules per pipeline run when ReceiverConfig builds its references
 REFERENCE_BLOCK = 1024
+# windows that Demodulator.feed cleans, correlates and scans at a time
+FEED_BLOCK = 32768
 
 
 def clean_signal(series: MacStateSeries) -> np.ndarray:
@@ -318,6 +320,17 @@ def _receiver_scan(x, pre_corr, templates, W, L, tau_p, start, state):
     return frames, (s, R, t0, l, anchor, tuple(partial))
 
 
+def _integer_samples(chunk: MacStateSeries | np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The receiver's integer samples of windows [lo, hi) of a chunk."""
+    if isinstance(chunk, np.ndarray):
+        return np.rint(SAMPLE_SCALE * chunk[lo:hi])
+    if chunk.codes is not None:
+        return CODE_SAMPLES[chunk.codes[lo:hi]]
+    part = MacStateSeries(chunk.window_us, *(f[lo:hi] for f in (
+        chunk.idle, chunk.rx, chunk.tx, chunk.intf)))
+    return np.rint(SAMPLE_SCALE * clean_signal(part))
+
+
 class Demodulator:
     """Streaming receiver; feed MAC-state chunks, collect decoded frames.
 
@@ -341,14 +354,24 @@ class Demodulator:
         lookup in CODE_SAMPLES.  Other series are cleaned by clean_signal,
         and cleaned samples are rounded to the nearest multiple of
         1/SAMPLE_SCALE, which leaves every series the sampler makes as it
-        is.  All later arithmetic is on those integers and exact.
+        is.  All later arithmetic is on those integers and exact.  A long
+        chunk is decoded in blocks of FEED_BLOCK windows, each on its own,
+        so no array is longer than a block plus the carry; the output does
+        not depend on how a stream is chunked.
         """
-        cfg = self.config
-        if isinstance(chunk, MacStateSeries) and chunk.codes is not None:
-            samples = CODE_SAMPLES[chunk.codes]
+        if isinstance(chunk, MacStateSeries):
+            n = chunk.n_samples
         else:
-            cleaned = clean_signal(chunk) if isinstance(chunk, MacStateSeries) else chunk
-            samples = np.rint(SAMPLE_SCALE * np.asarray(cleaned, dtype=np.float64))
+            chunk = np.asarray(chunk, dtype=np.float64)
+            n = len(chunk)
+        frames = []
+        for lo in range(0, n, FEED_BLOCK):
+            frames += self._feed_samples(_integer_samples(chunk, lo, lo + FEED_BLOCK))
+        return frames
+
+    def _feed_samples(self, samples: np.ndarray) -> list[DecodedFrame]:
+        """Decode the next integer samples of the stream."""
+        cfg = self.config
         buf = np.concatenate([self._carry, samples])
         pre = cfg.preamble_correlation(buf)
         raw, state = _receiver_scan(

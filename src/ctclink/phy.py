@@ -15,10 +15,17 @@ A WiFi frame counts as decoded when it starts on a tick where no LTE
 source transmits; frames that start under LTE energy are corrupted and
 only contribute energy.  WiFi senders that sense the LTE cell defer to its
 transmit mask, punctures included.
+
+The energy detector's fast measurement noise is not drawn per tick: a
+source near its threshold detects each of its transmit ticks on its own
+with one probability, so the sampler draws one binomial detection count
+per window over the ticks the earlier rules leave open, by inverting the
+binomial CDF at one uniform per window.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -40,6 +47,8 @@ MAX_ON_RUN_MS = 20
 SAFETY_GAP_MS = 2
 # doubles drawn at a time by saturated_frames
 DRAW_BLOCK = 4096
+# ticks that poisson_frames moves past the busy runs at a time
+FREE_BLOCK = 65536
 # a window's state code is rx + CODE_BASE * tx + CODE_BASE**2 * intf, its
 # tick counts in those states: each count is at most the window's ticks,
 # so the code is unique, and it fits a uint8 since CODE_BASE**3 <= 256
@@ -330,42 +339,57 @@ def poisson_frames(
     crosses, so once a round raises more than half as many arrivals as the
     round before, the rest is walked one arrival at a time, from the first
     arrival that round raised.  That bounds the worst case to a few rounds
-    plus the walk.
+    plus the walk.  The rounds work in place on the sorted arrival ticks,
+    which become the bounds e_i, and on one buffer as long as them, so the
+    queue holds two arrays of its arrivals' length.
     """
     frame_ticks = max(1, round(frame_us / RESOLUTION_US))
     duration_s = n_ticks * RESOLUTION_US / 1e6
     n_frames = rng.poisson(rate_fps * duration_s)
-    arrivals = np.sort(rng.integers(0, n_ticks, size=n_frames))
+    starts = rng.integers(0, n_ticks, size=n_frames)
+    starts.sort()
     busy_starts, busy_ends = busy_runs
     # end of the last busy run starting at or before a tick; 0 before the first
     run_ends = np.concatenate([[0], busy_ends]).astype(np.int64)
 
     def next_free(t: np.ndarray) -> np.ndarray:
-        return np.maximum(t, run_ends[np.searchsorted(busy_starts, t, side="right")])
+        """nf of every tick of t, in place, a block of FREE_BLOCK ticks at a time."""
+        for i in range(0, len(t), FREE_BLOCK):
+            block = t[i:i + FREE_BLOCK]
+            np.maximum(block, run_ends[np.searchsorted(busy_starts, block, side="right")],
+                       out=block)
+        return t
 
-    starts = next_free(arrivals)
-    offsets = np.arange(len(starts), dtype=np.int64) * frame_ticks
+    next_free(starts)  # the arrivals become the bounds e_i
+    buffer = np.empty_like(starts)
     final = 0  # starts before this index are exact
     raised_before = len(starts)
     while final < len(starts):
-        steps = offsets[:len(starts) - final]
-        lindley = np.maximum.accumulate(starts[final:] - steps) + steps
+        lindley = starts[final:]
+        steps = buffer[:len(lindley)]  # 0, F, 2F, ...
+        steps.fill(frame_ticks)
+        steps[:1] = 0
+        np.cumsum(steps, out=steps)
+        lindley -= steps
+        np.maximum.accumulate(lindley, out=lindley)
+        lindley += steps
         # a lower bound at or past the end drops the frame and all after it
         lindley = lindley[:np.searchsorted(lindley, n_ticks)]
         starts = starts[:final + len(lindley)]
-        starts[final:] = lindley
-        queued = next_free(lindley[:-1] + frame_ticks)
+        queued = next_free(np.add(lindley[:-1], frame_ticks, out=buffer[1:len(lindley)]))
         raised = np.flatnonzero(queued > lindley[1:])
         if not raised.size:
             break
         starts[final + 1 + raised] = queued[raised]
         final += 1 + int(raised[0])
         if 2 * raised.size > raised_before:
+            # each bound b_i lies in [nf(a_i), s_i], so nf(max(b_i, s_{i-1} + F))
+            # is s_i, as it is for the arrival a_i
             walked = []
             free_at = int(starts[final - 1]) + frame_ticks
             run_starts, run_stops = busy_starts.tolist(), busy_ends.tolist()
-            for arr in arrivals[final:len(starts)].tolist():
-                start = arr if arr > free_at else free_at
+            for bound in starts[final:].tolist():
+                start = bound if bound > free_at else free_at
                 run = bisect_right(run_starts, start) - 1
                 if run >= 0 and start < run_stops[run]:
                     start = run_stops[run]
@@ -528,6 +552,17 @@ class MacStateSeries:
         return len(self.codes if self.codes is not None else self.idle)
 
 
+def _binomial_cdfs(n_max: int, p: float) -> np.ndarray:
+    """cdf[j, n] = P(K <= j) for K ~ Binomial(n, p), j < n_max and n <= n_max."""
+    cdf = np.ones((n_max, n_max + 1))
+    for n in range(1, n_max + 1):
+        total = 0.0
+        for j in range(n):
+            total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
+            cdf[j, n] = total
+    return cdf
+
+
 def sample_mac_states(
     waveforms: Waveform | Sequence[Waveform],
     links: RadioLink | Sequence[RadioLink],
@@ -539,7 +574,21 @@ def sample_mac_states(
 
     Each (waveform, link) pair is one LTE source; a tick registers intf
     when any transmitting source's instantaneous receive power (mean plus
-    optional fast measurement noise) reaches that link's ED threshold.
+    optional fast measurement noise, normal with ed_noise_sigma_db) reaches
+    that link's ED threshold.
+
+    A source whose mean level lies 8 sigma or more from its threshold is
+    detected on every transmit tick or on none.  Within that band the
+    mean is constant, so each of its transmit ticks is detected on its own
+    with p = Phi((level - threshold) / sigma).  Only ticks that no
+    earlier rule (own tx, locked rx, unlocked rx) or other source already
+    settles are left to the noise; with n of them in a window, the
+    window's extra intf count is Binomial(n, p), drawn as the inverse
+    CDF at one uniform.  So the noise is one rng.random double per window
+    with n > 0, in window order, and a stream sampled in pieces draws
+    exactly what it draws at once.  Detection is an OR over sources,
+    which does not reduce to one count per window, so at most one source
+    may lie in the noise band.
 
     Ticks are RESOLUTION_US long and each code covers one window of
     WINDOW_US: it packs the window's counts of rx, tx and intf ticks (see
@@ -557,29 +606,32 @@ def sample_mac_states(
     n_ticks = max(w.n_ticks for w in waveforms)
 
     detect = np.zeros(n_ticks, dtype=bool)
+    noisy: tuple[Waveform, float] | None = None  # the source in the noise band, its p
     for wave, link in zip(waveforms, links):
-        heard = detect[:wave.n_ticks]  # a view: or-ing into it marks detect
         level = link.mean_rx_dbm()
         theta = link.ed_threshold_dbm
-        if ed_noise_sigma_db > 0:
-            margin = 8.0 * ed_noise_sigma_db
-            if level - theta >= margin:
-                heard |= wave.tx
-            elif theta - level < margin:
-                if rng is None:
-                    raise ValueError("measurement noise needs a random generator")
-                # the doubles of level + rng.normal(0.0, sigma, n_ticks), which
-                # computes 0.0 + sigma * z: n_ticks normals for every source
-                noisy = rng.standard_normal(n_ticks)
-                noisy *= ed_noise_sigma_db
-                noisy += level
-                heard |= wave.tx & (noisy[:wave.n_ticks] >= theta)
-        elif level >= theta:
-            heard |= wave.tx
+        margin = 8.0 * ed_noise_sigma_db
+        if level - theta >= margin:
+            detect[:wave.n_ticks] |= wave.tx
+        elif ed_noise_sigma_db > 0 and theta - level < margin:
+            if rng is None:
+                raise ValueError("measurement noise needs a random generator")
+            if noisy is not None:
+                raise ValueError("at most one source may lie within 8 sigma of its ED threshold")
+            noisy = wave, 0.5 * math.erfc((theta - level) / (ed_noise_sigma_db * math.sqrt(2.0)))
 
     per_win = WINDOW_US // RESOLUTION_US
     n_win = n_ticks // per_win
     cut = n_win * per_win
+
+    def window_sums(ticks: np.ndarray) -> np.ndarray:
+        # adding the per_win uint8 columns beats a reduction along the short axis
+        cols = ticks[:cut].reshape(n_win, per_win)
+        sums = cols[:, 0].copy()
+        for k in range(1, per_win):
+            sums += cols[:, k]
+        return sums
+
     # per tick: CODE_BASE**2 for intf, CODE_BASE for tx, 1 for rx, 0 for idle
     if traffic is None:
         code = detect[:cut].view(np.uint8) * np.uint8(CODE_BASE**2)
@@ -593,9 +645,22 @@ def sample_mac_states(
         code = intf.view(np.uint8) * np.uint8(CODE_BASE**2)
         code += tx.view(np.uint8) * np.uint8(CODE_BASE)
         code += rx.view(np.uint8)
-    # adding the per_win uint8 columns beats a reduction along the short axis
-    cols = code.reshape(n_win, per_win)
-    codes = cols[:, 0].copy()
-    for k in range(1, per_win):
-        codes += cols[:, k]
+    codes = window_sums(code)
+    if noisy is not None:
+        wave, p = noisy
+        # the source's transmit ticks whose state no rule above settled
+        open_ticks = np.zeros(cut, dtype=np.uint8)
+        m = min(cut, wave.n_ticks)
+        np.greater(wave.tx[:m], code[:m], out=open_ticks[:m])
+        n = window_sums(open_ticks)
+        drawn = np.flatnonzero(n > 0)
+        # one uniform u per such window: its count is the number of j with
+        # u >= P(K <= j), K ~ Binomial(n, p), which is K's inverse CDF at u
+        u = rng.random(len(drawn))
+        cdf = _binomial_cdfs(per_win, p)
+        counts = n[drawn].astype(np.intp)
+        detected = np.zeros(len(drawn), dtype=np.uint8)
+        for j in range(per_win):
+            detected += u >= cdf[j].take(counts)
+        codes[drawn] += detected * np.uint8(CODE_BASE**2)
     return MacStateSeries.from_codes(WINDOW_US, codes)

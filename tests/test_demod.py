@@ -4,6 +4,7 @@ the scan against a per-sample oracle, and the error-rate metrics."""
 import bisect
 import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +19,12 @@ from ctclink.codec import (
     get_scheme,
     preamble_schedules,
 )
+from ctclink import demod as demod_module
 from ctclink.demod import (
     CODE_CLEANED,
     CODE_SAMPLES,
     CORR_SCALE,
+    FEED_BLOCK,
     SAMPLE_SCALE,
     TAU1,
     TAU2,
@@ -683,6 +686,50 @@ class TestCodeBackedFeed:
         tail = by_code.finish()
         assert tail == by_float.finish()
         assert decoded + len(tail) > 0
+
+
+class TestFeedBlocks:
+    """Demodulator.feed decodes a long chunk FEED_BLOCK windows at a time."""
+
+    @pytest.mark.parametrize("name, cycle_ms", [("wide20", 40), ("multi20-k3", 80),
+                                                ("short12", 160)])
+    @settings(max_examples=6, deadline=None)
+    @given(block=st.integers(16, 5000), kind=st.sampled_from(["codes", "fractions", "cleaned"]))
+    def test_blocks_decode_as_one_call(self, name, cycle_ms, block, kind):
+        config, series = code_capture(name, cycle_ms)
+        chunk = {
+            "codes": series,
+            "fractions": MacStateSeries(series.window_us, series.idle, series.rx, series.tx,
+                                        series.intf),
+            "cleaned": clean_signal(series),
+        }[kind]
+
+        def decode(feed_block):
+            demod = Demodulator(config)
+            with mock.patch.object(demod_module, "FEED_BLOCK", feed_block):
+                frames = demod.feed(chunk)
+            state = (demod._state, demod._global0, demod._carry.tobytes())
+            return frames + demod.finish(), state
+
+        whole = decode(series.n_samples)
+        assert decode(block) == whole
+        assert as_tuples(whole[0]) == oracle_capture(name, cycle_ms)[2]
+
+    def test_correlation_never_sees_more_than_a_block(self):
+        config, series = code_capture("short12", 160)
+        assert series.n_samples > 2 * FEED_BLOCK
+        seen = []
+        correlate = ReceiverConfig.preamble_correlation
+
+        def spy(self, x):
+            seen.append(len(x))
+            return correlate(self, x)
+
+        with mock.patch.object(ReceiverConfig, "preamble_correlation", spy):
+            frames = demodulate(series, config)
+        assert len(seen) == -(-series.n_samples // FEED_BLOCK)
+        assert max(seen) <= FEED_BLOCK + config.preamble_len
+        assert as_tuples(frames) == oracle_capture("short12", 160)[2]
 
 
 def threshold_stream(name: str, scenario: str, power_dbm: float, seed: int, n_frames: int = 10):

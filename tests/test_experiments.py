@@ -384,30 +384,48 @@ class TestChunkedStream:
         assert experiments.CHUNK_CYCLES == 4 + CONFIGS["wide20 40/20"].frame_symbols
 
 
+def stream_peaks_kb(scenario: str) -> tuple[int, int]:
+    """Peak RSS in KiB after one 10-frame and then one 200-frame stream of a
+    scenario at -66 dBm against register 28, in a fresh interpreter.
+
+    The peak is VmHWM, which starts afresh with the interpreter's image;
+    ru_maxrss would carry over the test process's own peak from the fork.
+    """
+    code = (
+        "import numpy as np\n"
+        "from ctclink.codec import get_scheme\n"
+        "from ctclink.demod import ReceiverConfig\n"
+        "from ctclink.experiments import run_stream\n"
+        "from ctclink.phy import CsatConfig\n"
+        "from ctclink.radio import RadioLink\n"
+        "config = ReceiverConfig(get_scheme('wide20'), CsatConfig(40, 20))\n"
+        "link = RadioLink.at_rx_power(-66.0, ed_register=28)\n"
+        "for n in (10, 200):\n"
+        f"    run_stream(config, link, {scenario!r}, n, np.random.default_rng(n))\n"
+        "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "               if line.startswith('VmHWM:')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    short_kb, long_kb = map(int, out.split())
+    return short_kb, long_kb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux only")
 class TestStreamMemory:
-    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
     def test_long_stream_peaks_near_a_short_one(self):
         # a 200-frame stream lays no per-tick array longer than one chunk, so
         # its peak RSS stays within 10 MB of a 10-frame stream's
-        code = (
-            "import resource, numpy as np\n"
-            "from ctclink.codec import get_scheme\n"
-            "from ctclink.demod import ReceiverConfig\n"
-            "from ctclink.experiments import run_stream\n"
-            "from ctclink.phy import CsatConfig\n"
-            "from ctclink.radio import RadioLink\n"
-            "config = ReceiverConfig(get_scheme('wide20'), CsatConfig(40, 20))\n"
-            "link = RadioLink.at_rx_power(-66.0, ed_register=28)\n"
-            "for n in (10, 200):\n"
-            "    run_stream(config, link, 'background-high', n, np.random.default_rng(n))\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
-        )
-        src = os.path.dirname(os.path.dirname(experiments.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        short_kb, long_kb = map(int, out.split())
+        short_kb, long_kb = stream_peaks_kb("background-high")
         assert long_kb - short_kb < 10 * 1024
+
+    def test_long_poisson_stream_peaks_near_a_short_one(self):
+        # 200 light frames hold about 573 k arrival ticks (4.6 MB as int64);
+        # the queue keeps them and one buffer as long, and nothing else as long
+        short_kb, long_kb = stream_peaks_kb("background-light")
+        assert long_kb - short_kb < 15 * 1024
 
 
 class TestLinkSweep:

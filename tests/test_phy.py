@@ -4,17 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from bisect import bisect_right
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctclink import phy
+from ctclink import experiments, phy
 from ctclink.codec import build_frame, default_schemes, encode_symbol, preamble_schedules
-from ctclink.experiments import scenario_traffic
+from ctclink.demod import ReceiverConfig
+from ctclink.experiments import default_power_sweep, run_stream, scenario_traffic, wilson_interval
 from ctclink.phy import (
     CODE_BASE,
     CYCLE_CHOICES,
@@ -696,21 +700,58 @@ def test_saturated_half_tick_bursts_round_half_to_even():
     assert_same_traffic(got, want, rng_got, rng_want)
 
 
+def in_noise_band(link: RadioLink, sigma: float) -> bool:
+    """Whether the sampler draws ED noise for a source: within 8 sigma of its threshold."""
+    margin = 8.0 * sigma
+    level, theta = link.mean_rx_dbm(), link.ed_threshold_dbm
+    return sigma > 0 and level - theta < margin and theta - level < margin
+
+
+def window_codes(series: MacStateSeries) -> np.ndarray:
+    """The per-window state codes of a series of fractions."""
+    n = WINDOW_US // RESOLUTION_US
+    return sum(CODE_BASE**k * np.rint(n * getattr(series, name)).astype(np.uint8)
+               for k, name in enumerate(("rx", "tx", "intf")))
+
+
 class TestSamplerMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(inputs=sampler_inputs(), seed=st.integers(0, 2**32 - 1))
     def test_sample_mac_states(self, inputs, seed):
         waves, links, traffic, sigma = inputs
+        noisy = [i for i, link in enumerate(links) if in_noise_band(link, sigma)]
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        if len(noisy) > 1:
+            # detection ORs the sources per tick, which no per-window count draws
+            with pytest.raises(ValueError, match="at most one source"):
+                sample_mac_states(waves, links, traffic, sigma, rng_got)
+            return
         got = sample_mac_states(waves, links, traffic, sigma, rng_got)
         want = ref_sample_mac_states(waves, links, traffic, sigma, rng_want)
-        # the per-window codes of the reference's fractions, then the fractions they give
-        n = WINDOW_US // RESOLUTION_US
-        want_codes = sum(CODE_BASE**k * np.rint(n * getattr(want, name)).astype(np.uint8)
-                         for k, name in enumerate(("rx", "tx", "intf")))
-        assert got.codes.dtype == np.uint8 and np.array_equal(got.codes, want_codes)
-        assert_same_series(got, want, rng_got, rng_want)
+        assert got.codes.dtype == np.uint8
         assert_partition(got)
+        if not noisy:
+            # no noise is drawn: the same codes, fractions and generator state
+            assert np.array_equal(got.codes, window_codes(want))
+            assert_same_series(got, want, rng_got, rng_want)
+            return
+        # the noisy source's open ticks bound the intf count: none of them
+        # detected (threshold far above) and all of them (far below)
+        (i,) = noisy
+        never, always = (
+            ref_sample_mac_states(
+                waves, links[:i] + [replace(links[i], ed_threshold_dbm=links[i].ed_threshold_dbm
+                                            + shift)] + links[i + 1:],
+                traffic, sigma)
+            for shift in (1e3, -1e3))
+        lo, hi = (window_codes(b).astype(int) // CODE_BASE**2 for b in (never, always))
+        want_codes = window_codes(want)
+        # only the intf counts differ, each by at most the window's open ticks
+        assert np.array_equal(got.codes % CODE_BASE**2, want_codes % CODE_BASE**2)
+        intf, want_intf = got.codes // CODE_BASE**2, want_codes // CODE_BASE**2
+        assert np.all(np.abs(intf.astype(int) - want_intf) <= hi - lo)
+        assert np.all((lo <= intf) & (intf <= hi))
+        assert np.all((lo <= want_intf) & (want_intf <= hi))
 
     def test_waveforms_are_left_unchanged(self):
         wave = Waveform(CsatConfig(40, 20), PUNCTURED_LTE.copy())
@@ -718,14 +759,79 @@ class TestSamplerMatchesReference:
         assert np.array_equal(wave.tx, PUNCTURED_LTE)
 
 
+# upper 0.1% points of the chi-square distribution with 1..5 degrees of freedom
+CHI2_999 = {1: 10.828, 2: 13.816, 3: 16.266, 4: 18.467, 5: 20.515}
+
+
+class TestNoiseCountsAreBinomial:
+    """In the noise band, a window with n open LTE ticks gets Binomial(n, p)
+    of them as intf, p = Phi((level - threshold) / sigma), in both the
+    per-window sampler and the per-tick reference."""
+
+    WINDOWS = 20_000
+
+    @pytest.mark.parametrize("sampler", [sample_mac_states, ref_sample_mac_states],
+                             ids=["per-window", "per-tick"])
+    @pytest.mark.parametrize("offset_sigmas", [-0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_chi_square(self, sampler, offset_sigmas, n):
+        per_win = WINDOW_US // RESOLUTION_US
+        tx = np.zeros((self.WINDOWS, per_win), dtype=bool)
+        tx[:, :n] = True
+        sigma = 0.6
+        link = link_at(-60.0, ed_threshold_dbm=-60.0 - offset_sigmas * sigma)
+        series = sampler([Waveform(CsatConfig(40, 20), tx.ravel())], [link], None, sigma,
+                         np.random.default_rng(100 + n))
+        counts = np.bincount(np.rint(per_win * series.intf).astype(int), minlength=n + 1)
+        p = 0.5 * math.erfc(-offset_sigmas / math.sqrt(2.0))
+        expected = self.WINDOWS * np.array(
+            [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)])
+        assert expected.min() >= 5  # every bin large enough for the chi-square test
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # p is given, not fitted: n + 1 bins leave n degrees of freedom
+        assert chi2 < CHI2_999[n], (counts, expected)
+
+
+class TestNoiseModelsAgreeOnFer:
+    """Over SEEDS seeds of FRAMES-frame clear streams, the FER of every
+    point of the default ED sweeps at registers 3 and 28 lies inside the
+    Wilson interval of the per-tick model's FER.  The two models draw the
+    same payloads and lead-ins, since those come before the noise."""
+
+    SEEDS = 8
+    FRAMES = 5
+
+    @pytest.mark.parametrize("theta", [3, 28])
+    def test_default_sweep_points(self, theta):
+        config = ReceiverConfig(SCHEMES["wide20"], CsatConfig(40, 20))
+
+        def per_tick(wave, link, traffic, ed_noise_sigma_db, rng):
+            return ref_sample_mac_states([wave], [link], traffic, ed_noise_sigma_db, rng)
+
+        def frame_errors(sampler):
+            with mock.patch.object(experiments, "sample_mac_states", sampler):
+                return [
+                    sum(run_stream(config, RadioLink.at_rx_power(power, ed_register=theta),
+                                   "clear", self.FRAMES, np.random.default_rng([seed, theta, i]))[0]
+                        for seed in range(self.SEEDS))
+                    for i, power in enumerate(default_power_sweep(theta))
+                ]
+
+        n = self.SEEDS * self.FRAMES
+        for got, want in zip(frame_errors(sample_mac_states), frame_errors(per_tick)):
+            lo, hi = wilson_interval(want, n)
+            assert lo <= got / n <= hi, (got, want)
+
+
 class TestMacStateDigests:
     """sha256 of one seeded stream's MacStateSeries and final generator state.
 
     A 3-frame wide20 stream at -60.5 dBm against the -62 dBm threshold of
     register 28, with 0.6 dB ED noise, so every scenario draws the ED noise
-    and the traffic scenarios draw their arrivals, gaps, bursts and
-    straddles.  No BLAS call is involved, so the digests hold on any CPU.
-    They pin the draw order of the traffic generators and the sampler.
+    (one uniform per window) and the traffic scenarios draw their
+    arrivals, gaps, bursts and straddles.  No BLAS call is involved, so the
+    digests hold on any CPU.  They pin the draw order of the traffic
+    generators and the sampler.
     """
 
     @staticmethod
@@ -748,26 +854,26 @@ class TestMacStateDigests:
 
     @pytest.mark.parametrize("scenario, digest", [
         ("clear",
-         "28559742a0e95003963de17668140c1b5231560cd797164d609193248d596d3c"),
+         "63fc9a09b32b55c49b8dc705f280424be093e74fdb41b04b037aee93adf090a9"),
         ("background-light",
-         "007c4975523671ed89fa4ccd515bf515df90de6b7ac957080708ac9c6101273d"),
+         "f1862c3dec01b7c0e8e24e27cc70491e0a7b296f6e30beb9bfcbb518dc72482f"),
         ("background-high",
-         "22431e4ab2e102b45491a5f0c3a4f30bcce7db5f0eeabebba4ab1cfd0ca4776c"),
+         "0d3859dada8724b1cbac7e845d888111b100e08e93e35f7df0040ce3af41a394"),
         ("apdl-light",
-         "64a8d12433ddbf145d42ce5b525c322dccdd5ed7cc1656037927bfe2b5bb6199"),
+         "e72d5fce41a9cc4ea01d0ada3a592a0cd4012b1fd5ca30afbe8a6eb79b3bbb41"),
         ("apdl-high",
-         "022b6b3da44b09a8948836b184b8454bf9c119a4369a362fcfed1f3f5deab40c"),
-    ])
+         "524d33032b79e6ad77e4d08c045fc8c934b6a372e84f1c473cc502ec6d840219"),
+    ], ids=["clear", "background-light", "background-high", "apdl-light", "apdl-high"])
     def test_digest(self, scenario, digest):
         # the WiFi sender defers to the LTE transmissions
         assert self.digest(scenario, sensed=True) == digest
 
     @pytest.mark.parametrize("scenario, digest", [
         ("background-light",
-         "e4ec50131dbc1af0cbf6a314d7942089a7f2e5db8b3dfce71477b1cf97bb0d38"),
+         "ab9e361036619bbd58a5edf0910a57ffe5c596f0a4a1341baa52343fbef4e730"),
         ("apdl-light",
-         "5a4f9c6615c36f9324527d3223d810c2abf3d7bd7f96ff05dfd1dfad774b2e27"),
-    ])
+         "226524554a02709a68a740aca629f425c0faceeebe7bba1a8425b0a50484f564"),
+    ], ids=["background-light", "apdl-light"])
     def test_unsensed_digest(self, scenario, digest):
         # the all-False busy mask of a stream below the ED threshold
         assert self.digest(scenario, sensed=False) == digest
