@@ -15,13 +15,19 @@ with a trailing CRC-16 — so both ends can compare checksums byte for byte.
 A codebook whose CRC matches but whose structure does not (truncated
 entries, a member count running past the end, trailing bytes) raises
 X2WireError like any other malformed payload.
+
+The service runs one thread, a selectors loop that serves every
+connection.  It closes a connection that has sent nothing for
+IDLE_TIMEOUT_S, a stalled partial frame included, and answers a
+connection beyond MAX_CONNECTIONS with a BUSY error, then closes it.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 import time
@@ -30,10 +36,19 @@ from dataclasses import dataclass, field
 from .codec import crc16
 from .multicell import Codebook
 
+logger = logging.getLogger(__name__)
+
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
-# how long stop() waits for the connection handlers, then for the acceptor
+# the service closes a connection that sent it nothing for this long,
+# mid-frame or not, and refuses connections beyond this many
+IDLE_TIMEOUT_S = 60.0
+MAX_CONNECTIONS = 128
+# how long stop() waits for the service thread
 _STOP_TIMEOUT_S = 2.0
+_RECV_BYTES = 1 << 16
+# replies queued past this wait until the peer reads
+_OUT_HIGH_WATER = 1 << 16
 _U8 = struct.Struct("!B")
 _U16 = struct.Struct("!H")
 _U32 = struct.Struct("!I")
@@ -60,6 +75,7 @@ class ErrorCode(enum.IntEnum):
     AUTH = 3
     UNKNOWN_CELL = 4
     UNSUPPORTED = 5
+    BUSY = 6
 
 
 class X2Error(Exception):
@@ -246,111 +262,203 @@ def deserialize_codebook(data: bytes) -> Codebook:
 # ---------------------------------------------------------------------------
 
 class _CloseConnection(Exception):
-    """Raised by the dispatcher after a protocol violation."""
+    """Raised by the dispatcher after a protocol violation: reply, then close."""
+
+    def __init__(self, code: int, detail: str) -> None:
+        super().__init__(detail)
+        self.code = code
+        self.detail = detail
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        registered_ap: str | None = None
-        service: X2Service = self.server.service  # type: ignore[attr-defined]
-        while True:
-            try:
-                version, msg_type, payload = read_message(self.request)
-            except (X2WireError, OSError):
-                self._best_effort_error(ErrorCode.MALFORMED, "bad framing")
-                return
-            try:
-                registered_ap = self._dispatch(service, version, msg_type, payload, registered_ap)
-            except _CloseConnection:
-                return
-            except X2WireError as exc:
-                self._reply(MessageType.ERROR, encode_error(ErrorCode.MALFORMED, str(exc)))
-            except Exception:  # never let a handler bug kill the connection loop
-                self._best_effort_error(ErrorCode.MALFORMED, "internal dispatch failure")
-                return
+def _error_frame(code: int, detail: str) -> bytes:
+    return encode_message(MessageType.ERROR, encode_error(code, detail))
 
-    def _dispatch(self, service, version, msg_type, payload, registered_ap):
-        if version != PROTOCOL_VERSION:
-            self._best_effort_error(ErrorCode.VERSION, f"unsupported version {version}")
-            raise _CloseConnection
-        if msg_type == MessageType.HELLO:
-            ap_id, network_id = decode_hello(payload)
-            if network_id != service.network_id:
-                self._reply(
-                    MessageType.ERROR,
-                    encode_error(ErrorCode.AUTH, "network id does not match this unit"),
-                )
-                return registered_ap
-            service._register(ap_id, network_id)
-            self._reply(MessageType.HELLO_ACK, struct.pack("!BI", PROTOCOL_VERSION, service.network_id))
-            return ap_id
-        if msg_type == MessageType.GET_CODEBOOK:
-            self._reply(MessageType.CODEBOOK, service.codebook_bytes)
-            return registered_ap
-        if msg_type == MessageType.REPORT_PROXIMITY:
-            ap_id, pairs, cells = decode_report(payload)
-            if registered_ap is None or ap_id != registered_ap:
-                self._reply(
-                    MessageType.ERROR,
-                    encode_error(ErrorCode.AUTH, "report requires a completed handshake"),
-                )
-                return registered_ap
-            problem = service._store_report(ap_id, pairs, cells)
-            if problem is not None:
-                self._reply(MessageType.ERROR, encode_error(ErrorCode.UNKNOWN_CELL, problem))
-                return registered_ap
-            self._reply(MessageType.REPORT_ACK, struct.pack("!H", len(cells)))
-            return registered_ap
-        self._best_effort_error(ErrorCode.UNSUPPORTED, f"unknown message type {msg_type}")
-        raise _CloseConnection
 
-    def _reply(self, msg_type: int, payload: bytes) -> None:
-        self.request.sendall(encode_message(msg_type, payload))
+_BAD_FRAMING = _error_frame(ErrorCode.MALFORMED, "bad framing")
+_INTERNAL_FAILURE = _error_frame(ErrorCode.MALFORMED, "internal dispatch failure")
+_TOO_MANY = _error_frame(ErrorCode.BUSY, "too many connections")
 
-    def _best_effort_error(self, code: int, detail: str) -> None:
+
+class _Connection:
+    """One accepted socket: unparsed input, unsent output, handshake state."""
+
+    __slots__ = ("sock", "inbuf", "outbuf", "registered_ap", "closing", "last_rx", "events")
+
+    def __init__(self, sock: socket.socket, now: float) -> None:
+        self.sock = sock
+        self.inbuf = bytearray()
+        self.outbuf = bytearray()
+        self.registered_ap: str | None = None
+        self.closing = False  # close once outbuf is sent
+        self.last_rx = now  # when bytes last arrived, for the idle deadline
+        self.events = selectors.EVENT_READ
+
+
+class _Server:
+    """Listener, connections and the one thread whose selectors loop serves them.
+
+    The loop owns every socket: it accepts, reads, dispatches each complete
+    frame in arrival order and sends the replies without blocking.  While a
+    connection has output pending it is neither read from nor dispatched
+    further, so a peer that never reads costs one bounded buffer and stalls
+    no one else.
+    """
+
+    def __init__(self, service: "X2Service", host: str, port: int) -> None:
+        self.service = service
+        self.listener = socket.create_server((host, port))
+        self.address = self.listener.getsockname()[:2]
+        self.listener.setblocking(False)
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self.listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._conns: dict[socket.socket, _Connection] = {}
+        self._idle_s = IDLE_TIMEOUT_S
+        self._max_conns = MAX_CONNECTIONS
+        self.thread = threading.Thread(target=self._run, name="x2-service", daemon=True)
+        self.thread.start()
+
+    def stop(self, timeout_s: float) -> None:
+        """Wake the loop, which closes every socket, and join its thread."""
         try:
-            self._reply(MessageType.ERROR, encode_error(code, detail))
+            self._wake_w.send(b"\0")
         except OSError:
-            pass
+            pass  # the loop has already exited
+        self.thread.join(timeout_s)
+        self._wake_w.close()
 
-
-class _Server(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._live_lock = threading.Lock()
-        self._live: dict[socket.socket, threading.Thread] = {}
-
-    def process_request(self, request, client_address) -> None:
-        # registered before the thread starts, so close_connections sees
-        # every connection accepted before serve_forever returned
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._live_lock:
-            self._live[request] = thread
-        thread.start()
-
-    def process_request_thread(self, request, client_address) -> None:
+    def _run(self) -> None:
+        timeout = None
         try:
-            super().process_request_thread(request, client_address)
+            while True:
+                events = self._selector.select(timeout)
+                now = time.monotonic()
+                for key, mask in events:
+                    conn = key.data
+                    if conn is not None:
+                        # go by the event watched for: a hang-up reports both
+                        if conn.events == selectors.EVENT_READ:
+                            self._read(conn, now)
+                        else:
+                            self._pump(conn)
+                    elif key.fileobj is self.listener:
+                        self._accept(now)
+                    else:
+                        return  # woken by stop()
+                timeout = self._expire(now)
         finally:
-            with self._live_lock:
-                self._live.pop(request, None)
+            for conn in list(self._conns.values()):
+                self._close(conn)
+            self._selector.close()
+            self.listener.close()
+            self._wake_r.close()
 
-    def close_connections(self, timeout_s: float) -> None:
-        """Shut down every live connection and join its handler thread."""
-        with self._live_lock:
-            live = list(self._live.items())
-        for request, _ in live:
+    def _accept(self, now: float) -> None:
+        try:
+            sock, _ = self.listener.accept()
+        except OSError:  # the peer gave up before the accept
+            return
+        sock.setblocking(False)
+        if len(self._conns) >= self._max_conns:
+            logger.warning("refused a connection: %d already open", len(self._conns))
             try:
-                request.shutdown(socket.SHUT_RDWR)
+                sock.send(_TOO_MANY)  # an empty send buffer takes it whole
             except OSError:
-                pass  # the handler closed it first
-        deadline = time.monotonic() + timeout_s
-        for _, thread in live:
-            thread.join(max(0.0, deadline - time.monotonic()))
+                pass
+            sock.close()
+            return
+        conn = _Connection(sock, now)
+        self._conns[sock] = conn
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+
+    def _read(self, conn: _Connection, now: float) -> None:
+        try:
+            data = conn.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:
+            self._close(conn)
+            return
+        if data:
+            conn.inbuf += data
+            conn.last_rx = now
+        else:  # EOF, at a frame boundary or not, is bad framing
+            conn.outbuf += _BAD_FRAMING
+            conn.closing = True
+        self._pump(conn)
+
+    def _next_reply(self, conn: _Connection) -> bytes | None:
+        """Reply to the next complete frame in the input buffer, if there is one."""
+        buf = conn.inbuf
+        if len(buf) < _PREFIX.size:
+            return None
+        (length,) = _PREFIX.unpack_from(buf)
+        if not 2 <= length <= MAX_FRAME_BYTES:
+            conn.closing = True
+            return _BAD_FRAMING
+        end = _PREFIX.size + length
+        if len(buf) < end:
+            return None
+        version, msg_type, payload = buf[4], buf[5], bytes(buf[6:end])
+        del buf[:end]
+        try:
+            return self.service._dispatch(conn, version, msg_type, payload)
+        except X2WireError as exc:
+            return _error_frame(ErrorCode.MALFORMED, str(exc))
+        except _CloseConnection as exc:
+            conn.closing = True
+            return _error_frame(exc.code, exc.detail)
+        except Exception:  # a dispatch bug must not stop the loop
+            logger.exception("internal dispatch failure on message type %d", msg_type)
+            conn.closing = True
+            return _INTERNAL_FAILURE
+
+    def _pump(self, conn: _Connection) -> None:
+        """Dispatch buffered frames and send their replies until input runs
+        out or output backs up; then watch for whichever is missing."""
+        out = conn.outbuf
+        while True:
+            while not conn.closing and len(out) < _OUT_HIGH_WATER:
+                reply = self._next_reply(conn)
+                if reply is None:
+                    break
+                out += reply
+            if not out:
+                break
+            try:
+                sent = conn.sock.send(out)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
+                self._close(conn)
+                return
+            del out[:sent]
+            if out:
+                break
+        if conn.closing and not out:
+            self._close(conn)
+            return
+        events = selectors.EVENT_WRITE if out else selectors.EVENT_READ
+        if events != conn.events:
+            conn.events = events
+            self._selector.modify(conn.sock, events, conn)
+
+    def _expire(self, now: float) -> float | None:
+        """Close connections that received nothing for the idle deadline;
+        return the seconds until the next one is due."""
+        oldest = None
+        for conn in list(self._conns.values()):
+            if now - conn.last_rx >= self._idle_s:
+                self._close(conn)
+            elif oldest is None or conn.last_rx < oldest:
+                oldest = conn.last_rx
+        return None if oldest is None else oldest + self._idle_s - now
+
+    def _close(self, conn: _Connection) -> None:
+        self._selector.unregister(conn.sock)
+        del self._conns[conn.sock]
+        conn.sock.close()
 
 
 @dataclass
@@ -362,7 +470,6 @@ class X2Service:
     host: str = "127.0.0.1"
     port: int = 0  # 0 → pick a free port
     _server: _Server | None = field(default=None, repr=False)
-    _thread: threading.Thread | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _registrations: dict = field(default_factory=dict, repr=False)
     _proximity: dict = field(default_factory=dict, repr=False)
@@ -370,29 +477,25 @@ class X2Service:
     def __post_init__(self) -> None:
         self.codebook_bytes = serialize_codebook(self.codebook)
         self._cells = {m for ms in self.codebook.entries.values() for m in ms}
+        self._codebook_frame = encode_message(MessageType.CODEBOOK, self.codebook_bytes)
 
     def start(self) -> "X2Service":
-        self._server = _Server((self.host, self.port), _Handler)
-        self._server.service = self  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
+        """Listen and serve; a running service stays as it is."""
+        if self._server is None:
+            self._server = _Server(self, self.host, self.port)
         return self
 
     def stop(self) -> None:
-        """Stop accepting, close live connections and join their handlers."""
+        """Stop accepting, close every connection and join the service thread."""
         if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server.close_connections(_STOP_TIMEOUT_S)
-            self._thread.join(_STOP_TIMEOUT_S)
+            self._server.stop(_STOP_TIMEOUT_S)
             self._server = None
-            self._thread = None
 
     @property
     def address(self) -> tuple[str, int]:
         if self._server is None:
             raise X2Error("service is not running")
-        return self._server.server_address[:2]
+        return self._server.address
 
     def __enter__(self) -> "X2Service":
         return self.start()
@@ -407,6 +510,29 @@ class X2Service:
     def proximity_map(self) -> dict[str, frozenset[int]]:
         with self._lock:
             return dict(self._proximity)
+
+    def _dispatch(self, conn: _Connection, version: int, msg_type: int, payload: bytes) -> bytes:
+        """The reply frame to one request; _CloseConnection for a violation."""
+        if version != PROTOCOL_VERSION:
+            raise _CloseConnection(ErrorCode.VERSION, f"unsupported version {version}")
+        if msg_type == MessageType.HELLO:
+            ap_id, network_id = decode_hello(payload)
+            if network_id != self.network_id:
+                return _error_frame(ErrorCode.AUTH, "network id does not match this unit")
+            self._register(ap_id, network_id)
+            conn.registered_ap = ap_id
+            return encode_message(MessageType.HELLO_ACK, struct.pack("!BI", PROTOCOL_VERSION, self.network_id))
+        if msg_type == MessageType.GET_CODEBOOK:
+            return self._codebook_frame
+        if msg_type == MessageType.REPORT_PROXIMITY:
+            ap_id, pairs, cells = decode_report(payload)
+            if conn.registered_ap is None or ap_id != conn.registered_ap:
+                return _error_frame(ErrorCode.AUTH, "report requires a completed handshake")
+            problem = self._store_report(ap_id, pairs, cells)
+            if problem is not None:
+                return _error_frame(ErrorCode.UNKNOWN_CELL, problem)
+            return encode_message(MessageType.REPORT_ACK, struct.pack("!H", len(cells)))
+        raise _CloseConnection(ErrorCode.UNSUPPORTED, f"unknown message type {msg_type}")
 
     def _register(self, ap_id: str, network_id: int) -> None:
         with self._lock:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import io
+import logging
 import socket
 import struct
 import threading
@@ -457,9 +458,11 @@ class TestServiceLifecycle:
     def test_stop_closes_idle_connections(self):
         before = set(threading.enumerate())
         service = make_service()
+        started = set(threading.enumerate())
         clients = [X2Client(service.address, NETWORK_ID, ap_id=f"ap-{i}").connect() for i in range(2)]
         try:
-            assert len(set(threading.enumerate()) - before) == 3  # acceptor + 2 handlers
+            assert len(started - before) == 1  # the service thread
+            assert set(threading.enumerate()) == started  # and no more per connection
             service.stop()
             assert not set(threading.enumerate()) - before
             for client in clients:  # the server end is gone
@@ -475,4 +478,193 @@ class TestServiceLifecycle:
         service = make_service()
         service.stop()
         service.stop()
+        assert not set(threading.enumerate()) - before
+
+    def test_start_on_a_running_service_keeps_it(self):
+        before = set(threading.enumerate())
+        service = make_service()
+        address = service.address
+        with service.start() as again:
+            assert again is service and again.address == address
+            assert len(set(threading.enumerate()) - before) == 1
+        assert not set(threading.enumerate()) - before
+
+
+def drain(sock: socket.socket) -> bytes:
+    """Every byte the peer sends before closing its end."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def frames_of(blob: bytes) -> list[tuple[int, int, bytes]]:
+    stub = _SocketStub(blob)
+    out = []
+    while stub._buf.tell() < len(blob):
+        out.append(read_message(stub))
+    return out
+
+
+class TestBoundedService:
+    """Idle deadline and connection cap, with the constants made small."""
+
+    def test_idle_client_is_closed(self, monkeypatch):
+        monkeypatch.setattr(x2, "IDLE_TIMEOUT_S", 0.2)
+        before = set(threading.enumerate())
+        with make_service() as service:
+            started = set(threading.enumerate())
+            with socket.create_connection(service.address, timeout=2.0) as sock:
+                sock.sendall(encode_message(MessageType.HELLO, encode_hello("ap-1", NETWORK_ID)))
+                assert read_message(sock)[1] == MessageType.HELLO_ACK
+                t0 = time.monotonic()
+                assert sock.recv(1) == b""
+                assert time.monotonic() - t0 >= 0.15
+            assert set(threading.enumerate()) == started
+            # the service still serves after expiring a connection
+            assert serialize_codebook(x2.fetch_codebook(service.address, NETWORK_ID)) == service.codebook_bytes
+        assert not set(threading.enumerate()) - before
+
+    def test_stalled_length_prefix_is_closed(self, monkeypatch):
+        monkeypatch.setattr(x2, "IDLE_TIMEOUT_S", 0.2)
+        before = set(threading.enumerate())
+        with make_service() as service:
+            started = set(threading.enumerate())
+            with socket.create_connection(service.address, timeout=2.0) as sock:
+                # a 1 MiB frame announced, two bytes of it sent, then nothing
+                sock.sendall(struct.pack("!I", x2.MAX_FRAME_BYTES) + b"\x01\x03")
+                t0 = time.monotonic()
+                assert sock.recv(1) == b""
+                assert time.monotonic() - t0 >= 0.15
+            assert set(threading.enumerate()) == started
+        assert not set(threading.enumerate()) - before
+
+    def test_client_over_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setattr(x2, "MAX_CONNECTIONS", 2)
+        before = set(threading.enumerate())
+        with make_service() as service:
+            started = set(threading.enumerate())
+            holders = [socket.create_connection(service.address, timeout=2.0) for _ in range(2)]
+            try:
+                late = X2Client(service.address, NETWORK_ID, ap_id="ap-late")
+                try:
+                    with pytest.raises(X2ProtocolError, match="BUSY: too many connections"):
+                        late.connect()
+                finally:
+                    late.close()
+                # closing one holder frees its slot: its end-of-stream reply
+                # and close come after the service dropped the connection
+                holders[0].shutdown(socket.SHUT_WR)
+                _, msg_type, _ = frames_of(drain(holders[0]))[0]
+                assert msg_type == MessageType.ERROR
+                with X2Client(service.address, NETWORK_ID, ap_id="ap-late") as client:
+                    assert client.report_proximity([(1, 0)], [0]) == 1
+                assert set(threading.enumerate()) == started
+            finally:
+                for sock in holders:
+                    sock.close()
+        assert not set(threading.enumerate()) - before
+
+
+class TestDispatchLogging:
+    REQUEST = encode_message(MessageType.HELLO, encode_hello("ap-1", NETWORK_ID)) + encode_message(
+        MessageType.REPORT_PROXIMITY, encode_report("ap-1", [(1, 0)], [0])
+    )
+
+    def exchange(self) -> bytes:
+        with make_service() as service:
+            with socket.create_connection(service.address, timeout=2.0) as sock:
+                sock.sendall(self.REQUEST)
+                return drain(sock)
+
+    def test_internal_failure_is_logged_with_its_traceback(self, monkeypatch, caplog):
+        def broken(*args):
+            raise RuntimeError("store exploded")
+
+        monkeypatch.setattr(X2Service, "_store_report", broken)
+        with caplog.at_level(logging.ERROR, logger="ctclink.x2"):
+            logged = self.exchange()
+        failures = [r for r in caplog.records if "internal dispatch failure" in r.getMessage()]
+        assert len(failures) == 1
+        assert failures[0].name == "ctclink.x2"
+        assert failures[0].exc_info[0] is RuntimeError
+        assert "store exploded" in caplog.text
+        replies = frames_of(logged)
+        assert [t for _, t, _ in replies] == [MessageType.HELLO_ACK, MessageType.ERROR]
+        assert decode_error(replies[1][2]) == (ErrorCode.MALFORMED, "internal dispatch failure")
+
+        caplog.clear()
+        logging.disable(logging.CRITICAL)
+        try:
+            silent = self.exchange()
+        finally:
+            logging.disable(logging.NOTSET)
+        assert not caplog.records
+        assert silent == logged
+
+
+HELLO_AP1 = encode_message(MessageType.HELLO, encode_hello("ap-1", NETWORK_ID))
+KEEP_OPEN_REQUESTS = [
+    HELLO_AP1,
+    encode_message(MessageType.HELLO, encode_hello("ap-2", NETWORK_ID + 1)),  # AUTH
+    encode_message(MessageType.HELLO, b"\xff"),  # garbled: MALFORMED
+    encode_message(MessageType.GET_CODEBOOK),
+    encode_message(MessageType.REPORT_PROXIMITY, encode_report("ap-1", [(1, 0)], [0])),
+    encode_message(MessageType.REPORT_PROXIMITY, encode_report("ap-1", [(1, 0)], [999])),
+]
+
+
+class TestServiceLoop:
+    @given(
+        frames=st.lists(st.sampled_from(KEEP_OPEN_REQUESTS), min_size=1, max_size=8),
+        closing=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_split_and_batched_frames_get_the_same_replies(self, frames, closing, data):
+        if closing:  # an unknown type is answered, then the connection closes
+            frames = frames + [encode_message(200)]
+        blob = b"".join(frames)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(blob)), max_size=6)))
+        with make_service() as service:
+            with socket.create_connection(service.address, timeout=2.0) as sock:
+                expected = []
+                for frame in frames:
+                    sock.sendall(frame)
+                    expected.append(read_message(sock))
+            with socket.create_connection(service.address, timeout=2.0) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for start, end in zip([0] + cuts, cuts + [len(blob)]):
+                    if end > start:
+                        sock.sendall(blob[start:end])
+                got = [read_message(sock) for _ in frames]
+                if closing:
+                    assert sock.recv(1) == b""
+        assert got == expected
+
+    def test_client_that_never_reads_does_not_delay_another(self):
+        before = set(threading.enumerate())
+        with X2Service(make_codebook(37), NETWORK_ID).start() as service:
+            hog = socket.socket()
+            hog.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            hog.connect(service.address)
+            try:
+                hog.setblocking(False)
+                burst = encode_message(MessageType.GET_CODEBOOK) * 1000
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    try:
+                        hog.send(burst)
+                    except BlockingIOError:
+                        break  # the service stopped reading from it
+                else:
+                    pytest.fail("the service kept reading from a client that never reads")
+                t0 = time.monotonic()
+                with X2Client(service.address, NETWORK_ID, ap_id="ap-2") as client:
+                    book = client.fetch_codebook()
+                    assert client.report_proximity([(1, 0)], [0]) == 1
+                assert time.monotonic() - t0 < 1.0
+                assert serialize_codebook(book) == service.codebook_bytes
+            finally:
+                hog.close()
         assert not set(threading.enumerate()) - before
