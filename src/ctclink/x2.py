@@ -314,8 +314,7 @@ class _Server:
         self._selector.register(self.listener, selectors.EVENT_READ)
         self._selector.register(self._wake_r, selectors.EVENT_READ)
         self._conns: dict[socket.socket, _Connection] = {}
-        self._idle_s = IDLE_TIMEOUT_S
-        self._max_conns = MAX_CONNECTIONS
+        self._expiry: float | None = None  # no connection is idle-due before this
         self.thread = threading.Thread(target=self._run, name="x2-service", daemon=True)
         self.thread.start()
 
@@ -334,7 +333,7 @@ class _Server:
             while True:
                 events = self._selector.select(timeout)
                 now = time.monotonic()
-                for key, mask in events:
+                for key, _ in events:
                     conn = key.data
                     if conn is not None:
                         # go by the event watched for: a hang-up reports both
@@ -346,7 +345,9 @@ class _Server:
                         self._accept(now)
                     else:
                         return  # woken by stop()
-                timeout = self._expire(now)
+                if self._expiry is not None and now >= self._expiry:
+                    self._expiry = self._expire(now)
+                timeout = None if self._expiry is None else self._expiry - now
         finally:
             for conn in list(self._conns.values()):
                 self._close(conn)
@@ -360,7 +361,7 @@ class _Server:
         except OSError:  # the peer gave up before the accept
             return
         sock.setblocking(False)
-        if len(self._conns) >= self._max_conns:
+        if len(self._conns) >= MAX_CONNECTIONS:
             logger.warning("refused a connection: %d already open", len(self._conns))
             try:
                 sock.send(_TOO_MANY)  # an empty send buffer takes it whole
@@ -370,6 +371,8 @@ class _Server:
             return
         conn = _Connection(sock, now)
         self._conns[sock] = conn
+        if self._expiry is None:
+            self._expiry = now + IDLE_TIMEOUT_S
         self._selector.register(sock, selectors.EVENT_READ, conn)
 
     def _read(self, conn: _Connection, now: float) -> None:
@@ -419,7 +422,11 @@ class _Server:
         out or output backs up; then watch for whichever is missing."""
         out = conn.outbuf
         while True:
-            while not conn.closing and len(out) < _OUT_HIGH_WATER:
+            full = False  # stopped at the bound, so frames may be left
+            while not conn.closing:
+                if len(out) >= _OUT_HIGH_WATER:
+                    full = True
+                    break
                 reply = self._next_reply(conn)
                 if reply is None:
                     break
@@ -434,7 +441,7 @@ class _Server:
                 self._close(conn)
                 return
             del out[:sent]
-            if out:
+            if out or not full:
                 break
         if conn.closing and not out:
             self._close(conn)
@@ -446,14 +453,14 @@ class _Server:
 
     def _expire(self, now: float) -> float | None:
         """Close connections that received nothing for the idle deadline;
-        return the seconds until the next one is due."""
+        return when the next one is due."""
         oldest = None
         for conn in list(self._conns.values()):
-            if now - conn.last_rx >= self._idle_s:
+            if now - conn.last_rx >= IDLE_TIMEOUT_S:
                 self._close(conn)
             elif oldest is None or conn.last_rx < oldest:
                 oldest = conn.last_rx
-        return None if oldest is None else oldest + self._idle_s - now
+        return None if oldest is None else oldest + IDLE_TIMEOUT_S
 
     def _close(self, conn: _Connection) -> None:
         self._selector.unregister(conn.sock)

@@ -642,6 +642,23 @@ class TestServiceLoop:
                     assert sock.recv(1) == b""
         assert got == expected
 
+    def test_pipelined_replies_past_the_output_bound_all_arrive(self, monkeypatch):
+        # with a one-byte bound every reply fills the output buffer, and
+        # with a small receive window the sends come back partial
+        monkeypatch.setattr(x2, "_OUT_HIGH_WATER", 1)
+        book = make_codebook(100)
+        with X2Service(book, NETWORK_ID).start() as service:
+            with socket.socket() as sock:
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(2.0)
+                sock.connect(service.address)
+                # more reply bytes than a send buffer holds (4 MiB by default)
+                sock.sendall(encode_message(MessageType.GET_CODEBOOK) * 2500)
+                for _ in range(2500):
+                    _, msg_type, payload = read_message(sock)
+                    assert msg_type == MessageType.CODEBOOK
+                    assert payload == service.codebook_bytes
+
     def test_client_that_never_reads_does_not_delay_another(self):
         before = set(threading.enumerate())
         with X2Service(make_codebook(37), NETWORK_ID).start() as service:
