@@ -262,12 +262,8 @@ def deserialize_codebook(data: bytes) -> Codebook:
 # ---------------------------------------------------------------------------
 
 class _CloseConnection(Exception):
-    """Raised by the dispatcher after a protocol violation: reply, then close."""
-
-    def __init__(self, code: int, detail: str) -> None:
-        super().__init__(detail)
-        self.code = code
-        self.detail = detail
+    """Raised by the dispatcher with (code, detail) after a protocol
+    violation: the connection gets that error, then closes."""
 
 
 def _error_frame(code: int, detail: str) -> bytes:
@@ -411,7 +407,7 @@ class _Server:
             return _error_frame(ErrorCode.MALFORMED, str(exc))
         except _CloseConnection as exc:
             conn.closing = True
-            return _error_frame(exc.code, exc.detail)
+            return _error_frame(*exc.args)
         except Exception:  # a dispatch bug must not stop the loop
             logger.exception("internal dispatch failure on message type %d", msg_type)
             conn.closing = True
