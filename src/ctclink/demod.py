@@ -4,10 +4,8 @@ The receiver sees only the NIC's per-window MAC states.  Cleaning maps each
 250 us window to a value around +-0.5: confident interference becomes +0.5,
 confident silence -0.5, any window dominated by rx/tx/idle is forced to
 -0.5, and ambiguous windows keep their (DC-shifted) interference fraction.
-A window the sampler made is one of 56 state codes, so the receiver cleans
-such a series by looking its codes up in a table that clean_signal built
-once; fraction arrays and cleaned samples from elsewhere are cleaned and
-rounded as they come.
+A window is one of 56 state codes, so the rules are applied once, to each
+code's tick counts, and a series is cleaned by table lookup.
 A cross-correlation against the known four-cycle preamble arms the symbol
 clock; a later, higher correlation re-anchors it.  Every cycle after the
 anchor, the trailing window is correlated against all one-cycle symbol
@@ -71,47 +69,33 @@ REFERENCE_BLOCK = 1024
 FEED_BLOCK = 32768
 
 
-def clean_signal(series: MacStateSeries) -> np.ndarray:
-    """Map MAC-state windows to the symmetric correlation domain.
-
-    Rules apply in order with strict comparisons: interference above TAU1
-    saturates to 1, silence above TAU2 saturates to 0, any of rx/tx/idle
-    above TAU3 forces 0, then the DC offset of 0.5 is removed.  For any
-    series the sampler makes the result lies on the 1/SAMPLE_SCALE grid;
-    Demodulator.feed rounds its input to that grid before it computes.
-    A series with state codes is cleaned by lookup in CODE_CLEANED, which
-    this function built, so its result is the same to the bit.
-    """
-    if series.codes is not None:
-        return CODE_CLEANED[series.codes]
-    intf = np.asarray(series.intf, dtype=np.float64)
-    s = np.where(intf > TAU1, 1.0, intf)
-    # a saturated window has 1 - s = 0, so the silence rule may test intf
-    zero = (1.0 - intf) > TAU2
-    for share in (series.rx, series.tx, series.idle):
-        zero |= share > TAU3
-    s -= 0.5
-    np.copyto(s, -0.5, where=zero)
-    return s
-
-
 def _clean_codes() -> np.ndarray:
-    """clean_signal of the window behind every state code.
+    """The cleaned sample of the window behind every state code.
 
-    Codes whose counts add up to more than one window never occur; their
-    entries are what the rules make of those counts.
+    Rules apply in order with strict comparisons of tick shares: intf above
+    TAU1 saturates to 1, silence above TAU2 to 0, any of rx/tx/idle above
+    TAU3 forces 0, then the DC offset of 0.5 is removed.  Codes whose counts
+    exceed one window never occur; their entries are what the rules make.
     """
     n = CODE_BASE - 1
     codes = np.arange(CODE_BASE**3)
     rx, tx, intf = codes % CODE_BASE, codes // CODE_BASE % CODE_BASE, codes // CODE_BASE**2
-    return clean_signal(
-        MacStateSeries(WINDOW_US, (n - rx - tx - intf) / n, rx / n, tx / n, intf / n)
-    )
+    wifi = np.maximum.reduce([rx, tx, n - rx - tx - intf]) / n
+    intf = intf / n
+    s = np.where(intf > TAU1, 1.0, intf) - 0.5
+    # a saturated window has 1 - s = 0, so the silence rule may test intf
+    s[((1.0 - intf) > TAU2) | (wifi > TAU3)] = -0.5
+    return s
 
 
 # per state code: the cleaned sample, and the receiver's integer sample
 CODE_CLEANED = _clean_codes()
 CODE_SAMPLES = np.rint(SAMPLE_SCALE * CODE_CLEANED)
+
+
+def clean_signal(series: MacStateSeries) -> np.ndarray:
+    """Map MAC-state windows to the symmetric correlation domain (see _clean_codes)."""
+    return CODE_CLEANED[series.codes]
 
 
 def require_one_symbol_per_on(scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -322,13 +306,9 @@ def _receiver_scan(x, pre_corr, templates, W, L, tau_p, start, state):
 
 def _integer_samples(chunk: MacStateSeries | np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The receiver's integer samples of windows [lo, hi) of a chunk."""
-    if isinstance(chunk, np.ndarray):
-        return np.rint(SAMPLE_SCALE * chunk[lo:hi])
-    if chunk.codes is not None:
+    if isinstance(chunk, MacStateSeries):
         return CODE_SAMPLES[chunk.codes[lo:hi]]
-    part = MacStateSeries(chunk.window_us, *(f[lo:hi] for f in (
-        chunk.idle, chunk.rx, chunk.tx, chunk.intf)))
-    return np.rint(SAMPLE_SCALE * clean_signal(part))
+    return np.rint(SAMPLE_SCALE * chunk[lo:hi])
 
 
 class Demodulator:
@@ -350,11 +330,10 @@ class Demodulator:
     def feed(self, chunk: MacStateSeries | np.ndarray) -> list[DecodedFrame]:
         """Decode a chunk of MAC states or of cleaned samples.
 
-        A series with state codes becomes the receiver's integer samples by
-        lookup in CODE_SAMPLES.  Other series are cleaned by clean_signal,
-        and cleaned samples are rounded to the nearest multiple of
-        1/SAMPLE_SCALE, which leaves every series the sampler makes as it
-        is.  All later arithmetic is on those integers and exact.  A long
+        A series becomes the receiver's integer samples by lookup in
+        CODE_SAMPLES.  Cleaned samples are rounded to the nearest multiple
+        of 1/SAMPLE_SCALE, which leaves every cleaned series as it is.
+        All later arithmetic is on those integers and exact.  A long
         chunk is decoded in blocks of FEED_BLOCK windows, each on its own,
         so no array is longer than a block plus the carry; the output does
         not depend on how a stream is chunked.

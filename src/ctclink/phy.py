@@ -53,6 +53,9 @@ FREE_BLOCK = 65536
 # tick counts in those states: each count is at most the window's ticks,
 # so the code is unique, and it fits a uint8 since CODE_BASE**3 <= 256
 CODE_BASE = WINDOW_US // RESOLUTION_US + 1
+# windows that MacStateSeries packs into codes at a time, so that no
+# float temporary of its conversion outgrows a block
+CONVERT_BLOCK = 32768
 
 
 class SchedulingError(ValueError):
@@ -502,54 +505,69 @@ def saturated_frames(
 # ---------------------------------------------------------------------------
 
 class MacStateSeries:
-    """Per-window MAC-state fractions, the receiver's observable.
+    """Per-window MAC states, the receiver's observable: one uint8 state
+    code per WINDOW_US window (see CODE_BASE), built from_codes by the sampler.
 
-    A series is built either from its four fraction arrays or, by the
-    sampler, from one state code per window (from_codes; codes is None
-    otherwise).  A code-backed series derives each fraction on first
-    access as the window's tick count over its ticks, bit for bit the float
-    mean of the window's tick masks.
+    The constructor packs fractions of a window's ticks in idle, rx, tx and
+    intf into codes; ValueError unless each is k / (CODE_BASE - 1) for a
+    whole k and a window's four fill it.  A series derives each fraction on
+    first access, bit for bit the float mean of the window's tick masks.
     """
+
+    window_us = WINDOW_US
 
     def __init__(
         self, window_us: int, idle: np.ndarray, rx: np.ndarray, tx: np.ndarray, intf: np.ndarray
     ) -> None:
-        self.window_us = window_us
-        self.codes: np.ndarray | None = None
-        self.idle, self.rx, self.tx, self.intf = idle, rx, tx, intf
+        if window_us != WINDOW_US:
+            raise ValueError(f"windows of {window_us} us, not {WINDOW_US} us")
+        fractions = {"idle": idle, "rx": rx, "tx": tx, "intf": intf}
+        if {np.shape(f) for f in fractions.values()} != {(len(idle),)}:
+            raise ValueError("idle, rx, tx and intf must be 1-D and of one length")
+        n = CODE_BASE - 1
+        self.codes = np.empty(len(idle), dtype=np.uint8)
+        for lo in range(0, len(idle), CONVERT_BLOCK):
+            counts = []
+            for name, f in fractions.items():
+                f = np.asarray(f[lo:lo + CONVERT_BLOCK])
+                k = np.rint(f * n)
+                # k / n == f holds outside [0, n] too (-0.2), where uint8 would wrap
+                if not np.all((k / n == f) & (k >= 0) & (k <= n)):
+                    raise ValueError(f"{name} is not a whole number of ticks in every window")
+                counts.append(k.astype(np.uint8))
+            idle_k, rx_k, tx_k, intf_k = counts
+            if np.any(idle_k + rx_k + tx_k + intf_k != n):
+                raise ValueError(f"idle, rx, tx and intf do not add up to {n} ticks in every window")
+            self.codes[lo:lo + CONVERT_BLOCK] = rx_k + CODE_BASE * tx_k + CODE_BASE**2 * intf_k
 
     @classmethod
-    def from_codes(cls, window_us: int, codes: np.ndarray) -> "MacStateSeries":
-        """A series of WINDOW_US windows from their uint8 state codes."""
+    def from_codes(cls, codes: np.ndarray) -> "MacStateSeries":
+        """A series from its uint8 state codes."""
         series = cls.__new__(cls)
-        series.window_us = window_us
         series.codes = codes
         return series
 
-    def _fraction(self, count: np.ndarray) -> np.ndarray:
-        return count / (CODE_BASE - 1)
-
     @cached_property
     def rx(self) -> np.ndarray:
-        return self._fraction(self.codes % CODE_BASE)
+        return self.codes % CODE_BASE / (CODE_BASE - 1)
 
     @cached_property
     def tx(self) -> np.ndarray:
-        return self._fraction(self.codes // CODE_BASE % CODE_BASE)
+        return self.codes // CODE_BASE % CODE_BASE / (CODE_BASE - 1)
 
     @cached_property
     def intf(self) -> np.ndarray:
-        return self._fraction(self.codes // CODE_BASE**2)
+        return self.codes // CODE_BASE**2 / (CODE_BASE - 1)
 
     @cached_property
     def idle(self) -> np.ndarray:
         c = self.codes
-        return self._fraction(CODE_BASE - 1 - c % CODE_BASE - c // CODE_BASE % CODE_BASE
-                              - c // CODE_BASE**2)
+        return (CODE_BASE - 1 - c % CODE_BASE - c // CODE_BASE % CODE_BASE
+                - c // CODE_BASE**2) / (CODE_BASE - 1)
 
     @property
     def n_samples(self) -> int:
-        return len(self.codes if self.codes is not None else self.idle)
+        return len(self.codes)
 
 
 def _binomial_cdfs(n_max: int, p: float) -> np.ndarray:
@@ -663,4 +681,4 @@ def sample_mac_states(
         for j in range(per_win):
             detected += u >= cdf[j].take(counts)
         codes[drawn] += detected * np.uint8(CODE_BASE**2)
-    return MacStateSeries.from_codes(WINDOW_US, codes)
+    return MacStateSeries.from_codes(codes)

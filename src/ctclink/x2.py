@@ -17,8 +17,8 @@ entries, a member count running past the end, trailing bytes) raises
 X2WireError like any other malformed payload.
 
 The service runs one thread, a selectors loop that serves every
-connection.  It closes a connection that has sent nothing for
-IDLE_TIMEOUT_S, a stalled partial frame included, and answers a
+connection.  It closes a connection that has neither sent nor taken a
+byte for IDLE_TIMEOUT_S, a stalled partial frame included, and answers a
 connection beyond MAX_CONNECTIONS with a BUSY error, then closes it.
 """
 
@@ -40,8 +40,9 @@ logger = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 1 << 20
-# the service closes a connection that sent it nothing for this long,
-# mid-frame or not, and refuses connections beyond this many
+# the service closes a connection that neither sent it nor took from it
+# a byte for this long, mid-frame or not, and refuses connections beyond
+# this many
 IDLE_TIMEOUT_S = 60.0
 MAX_CONNECTIONS = 128
 # how long stop() waits for the service thread
@@ -278,7 +279,7 @@ _TOO_MANY = _error_frame(ErrorCode.BUSY, "too many connections")
 class _Connection:
     """One accepted socket: unparsed input, unsent output, handshake state."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "registered_ap", "closing", "last_rx", "events")
+    __slots__ = ("sock", "inbuf", "outbuf", "registered_ap", "closing", "last_io", "events")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
@@ -286,7 +287,7 @@ class _Connection:
         self.outbuf = bytearray()
         self.registered_ap: str | None = None
         self.closing = False  # close once outbuf is sent
-        self.last_rx = now  # when bytes last arrived, for the idle deadline
+        self.last_io = now  # when bytes last moved either way, for the idle deadline
         self.events = selectors.EVENT_READ
 
 
@@ -336,7 +337,7 @@ class _Server:
                         if conn.events == selectors.EVENT_READ:
                             self._read(conn, now)
                         else:
-                            self._pump(conn)
+                            self._pump(conn, now)
                     elif key.fileobj is self.listener:
                         self._accept(now)
                     else:
@@ -381,11 +382,11 @@ class _Server:
             return
         if data:
             conn.inbuf += data
-            conn.last_rx = now
+            conn.last_io = now
         else:  # EOF, at a frame boundary or not, is bad framing
             conn.outbuf += _BAD_FRAMING
             conn.closing = True
-        self._pump(conn)
+        self._pump(conn, now)
 
     def _next_reply(self, conn: _Connection) -> bytes | None:
         """Reply to the next complete frame in the input buffer, if there is one."""
@@ -413,7 +414,7 @@ class _Server:
             conn.closing = True
             return _INTERNAL_FAILURE
 
-    def _pump(self, conn: _Connection) -> None:
+    def _pump(self, conn: _Connection, now: float) -> None:
         """Dispatch buffered frames and send their replies until input runs
         out or output backs up; then watch for whichever is missing."""
         out = conn.outbuf
@@ -436,7 +437,9 @@ class _Server:
             except OSError:
                 self._close(conn)
                 return
-            del out[:sent]
+            if sent:  # a peer that takes bytes is not idle
+                del out[:sent]
+                conn.last_io = now
             if out or not full:
                 break
         if conn.closing and not out:
@@ -448,14 +451,14 @@ class _Server:
             self._selector.modify(conn.sock, events, conn)
 
     def _expire(self, now: float) -> float | None:
-        """Close connections that received nothing for the idle deadline;
+        """Close connections that moved no bytes for the idle deadline;
         return when the next one is due."""
         oldest = None
         for conn in list(self._conns.values()):
-            if now - conn.last_rx >= IDLE_TIMEOUT_S:
+            if now - conn.last_io >= IDLE_TIMEOUT_S:
                 self._close(conn)
-            elif oldest is None or conn.last_rx < oldest:
-                oldest = conn.last_rx
+            elif oldest is None or conn.last_io < oldest:
+                oldest = conn.last_io
         return None if oldest is None else oldest + IDLE_TIMEOUT_S
 
     def _close(self, conn: _Connection) -> None:
@@ -583,13 +586,17 @@ class X2Client:
             self._sock = socket.create_connection(self.address, timeout=self.timeout_s)
         except OSError as exc:
             raise X2ConnectivityError(f"cannot reach {self.address}: {exc}") from exc
-        # requests are small and each waits for its reply: send them at once
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._roundtrip(
-            MessageType.HELLO,
-            encode_hello(self.ap_id, self.network_id),
-            MessageType.HELLO_ACK,
-        )
+        try:
+            # requests are small and each waits for its reply: send them at once
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._roundtrip(
+                MessageType.HELLO,
+                encode_hello(self.ap_id, self.network_id),
+                MessageType.HELLO_ACK,
+            )
+        except BaseException:
+            self.close()  # __exit__ never runs when __enter__ raises
+            raise
         return self
 
     def close(self) -> None:

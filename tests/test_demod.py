@@ -4,6 +4,7 @@ the scan against a per-sample oracle, and the error-rate metrics."""
 import bisect
 import functools
 import itertools
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -78,51 +79,38 @@ def transmit(name: str, n_frames: int = 1, lead_windows: int = 0, distance_m: fl
     return stream, series
 
 
-def series_from_intf(intf: np.ndarray) -> MacStateSeries:
-    intf = np.asarray(intf, dtype=float)
-    z = np.zeros_like(intf)
-    return MacStateSeries(250, 1.0 - intf, z, z.copy(), intf)
+def window(rx: float, tx: float, intf: float) -> MacStateSeries:
+    """A one-window series of the given fractions; idle fills the rest."""
+    n = CODE_BASE - 1
+    idle = (n - round(n * rx) - round(n * tx) - round(n * intf)) / n
+    return MacStateSeries(250, *(np.array([f]) for f in (idle, rx, tx, intf)))
+
+
+def cleaned_windows(*windows) -> list[float]:
+    return [clean_signal(window(*w))[0] for w in windows]
 
 
 class TestCleaning:
     def test_confident_windows_saturate(self):
-        series = series_from_intf([0.95, 0.81, 0.05, 0.19])
-        assert clean_signal(series).tolist() == [0.5, 0.5, -0.5, -0.5]
+        # no rx/tx/idle share passes TAU3 in the silent window
+        assert cleaned_windows((0.0, 0.0, 1.0), (0.4, 0.4, 0.0)) == [0.5, -0.5]
 
     def test_ambiguous_window_keeps_fraction(self):
-        series = series_from_intf([0.7])
-        assert clean_signal(series).tolist() == [pytest.approx(0.2)]
+        assert cleaned_windows((0.0, 0.0, 0.6)) == [0.6 - 0.5]
 
     def test_thresholds_are_strict(self):
-        # exactly at a threshold no rule fires
-        series = series_from_intf([0.8])
-        assert clean_signal(series).tolist() == [pytest.approx(0.3)]
-        low = MacStateSeries(
-            250,
-            idle=np.array([0.5]),
-            rx=np.array([0.3]),
-            tx=np.array([0.0]),
-            intf=np.array([0.2]),
-        )
-        assert clean_signal(low).tolist() == [pytest.approx(-0.3)]
+        # exactly at TAU1 interference does not saturate, and at 1 - TAU2
+        # silence does not
+        assert cleaned_windows((0.0, 0.0, 0.8)) == [0.8 - 0.5]
+        assert cleaned_windows((0.4, 0.0, 0.2)) == [0.2 - 0.5]
 
     def test_wifi_dominated_windows_forced_to_silence(self):
-        z = np.zeros(3)
-        series = MacStateSeries(
-            250,
-            idle=np.array([0.6, 0.0, 0.0]),
-            rx=np.array([0.0, 0.6, 0.0]),
-            tx=np.array([0.0, 0.0, 0.6]),
-            intf=np.array([0.4, 0.4, 0.4]),
-        )
-        assert clean_signal(series).tolist() == [-0.5, -0.5, -0.5]
-        # at exactly tau3 the force does not fire
-        series2 = MacStateSeries(250, z + 0.5, z, z, z + 0.5)
-        assert clean_signal(series2).tolist() == [0.0, 0.0, 0.0]
+        assert cleaned_windows((0.0, 0.0, 0.4), (0.6, 0.0, 0.4), (0.0, 0.6, 0.4)) == [-0.5] * 3
 
 
-def ref_clean_signal(series: MacStateSeries) -> np.ndarray:
-    """The cleaning rules one at a time, each a boolean-index assignment."""
+def ref_clean_signal(series) -> np.ndarray:
+    """The cleaning rules one at a time, each a boolean-index assignment,
+    on any object with idle, rx, tx and intf fraction arrays."""
     s = series.intf.astype(np.float64).copy()
     s[s > TAU1] = 1.0
     s[(1.0 - s) > TAU2] = 0.0
@@ -132,64 +120,47 @@ def ref_clean_signal(series: MacStateSeries) -> np.ndarray:
     return s - 0.5
 
 
-def neighbours(x: float, steps: int = 2) -> list[float]:
-    """x and the ``steps`` doubles on either side of it."""
-    below, above = [x], [x]
-    for _ in range(steps):
-        below.append(float(np.nextafter(below[-1], -1.0)))
-        above.append(float(np.nextafter(above[-1], 2.0)))
-    return below + above[1:]
-
-
-# the sampler's grid, points off it, and the doubles around each threshold,
-# including where 1 - intf crosses TAU2
-EDGE_FRACTIONS = (
-    0.0, 0.4, 0.6, 1.0, 1 / 3, 0.7, 0.05, 0.95,
-    *neighbours(TAU1), *neighbours(TAU3), *neighbours(0.2), *neighbours(1.0 - TAU2),
-)
-fractions = st.one_of(st.sampled_from(EDGE_FRACTIONS), st.floats(0.0, 1.0))
+# the (rx, tx, intf) tick counts of every window, and its state code
+N_TICKS = CODE_BASE - 1
+WINDOW_COUNTS = [(rx, tx, intf) for rx, tx, intf in itertools.product(range(N_TICKS + 1), repeat=3)
+                 if rx + tx + intf <= N_TICKS]
+VALID_CODES = [rx + CODE_BASE * tx + CODE_BASE**2 * intf for rx, tx, intf in WINDOW_COUNTS]
 
 
 class TestCleaningMatchesReference:
     @settings(max_examples=300, deadline=None)
-    @given(windows=st.lists(st.tuples(fractions, fractions, fractions, fractions), max_size=40))
+    @given(windows=st.lists(st.sampled_from(WINDOW_COUNTS), max_size=40))
     def test_clean_signal(self, windows):
-        # the four fractions of a window are drawn apart, as a CSV may hold them
-        idle, rx, tx, intf = np.array(windows, dtype=np.float64).reshape(-1, 4).T
+        rx, tx, intf = np.array(windows, dtype=np.int64).reshape(-1, 3).T
+        idle, rx, tx, intf = (k / N_TICKS for k in (N_TICKS - rx - tx - intf, rx, tx, intf))
         series = MacStateSeries(250, idle, rx, tx, intf)
-        got, want = clean_signal(series), ref_clean_signal(series)
+        want = ref_clean_signal(SimpleNamespace(idle=idle, rx=rx, tx=tx, intf=intf))
+        got = clean_signal(series)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert np.array_equal(series.intf, intf)  # the input is left as it was
 
     def test_sampled_series(self):
-        # a sampled series is cleaned by lookup, its fractions by the rules
+        # a sampled series is cleaned by lookup as the rules clean its fractions
         series = noisy_series("multi20-k3", CONFIGS["multi20-k3"], make_config("multi20-k3"), 3)
-        floats = MacStateSeries(250, series.idle, series.rx, series.tx, series.intf)
-        want = ref_clean_signal(floats)
+        want = ref_clean_signal(series)
         assert len(np.unique(want)) > 2
-        assert clean_signal(floats).tobytes() == want.tobytes()
         assert clean_signal(series).tobytes() == want.tobytes()
 
 
 class TestCodeTable:
     def test_every_window_cleans_as_its_fractions(self):
-        n = CODE_BASE - 1
-        triples = [(rx, tx, intf) for rx, tx, intf in itertools.product(range(n + 1), repeat=3)
-                   if rx + tx + intf <= n]
-        assert len(triples) == 56
-        for rx, tx, intf in triples:
-            window = MacStateSeries(
-                250, *(np.array([k / n]) for k in (n - rx - tx - intf, rx, tx, intf))
-            )
-            cleaned = clean_signal(window)
-            code = rx + CODE_BASE * tx + CODE_BASE**2 * intf
-            assert CODE_SAMPLES[code] == np.rint(SAMPLE_SCALE * cleaned)[0], (rx, tx, intf)
-            assert CODE_CLEANED[code:code + 1].tobytes() == cleaned.tobytes()
-            # the code-backed window derives the same fractions and cleans the same
-            coded = MacStateSeries.from_codes(250, np.array([code], dtype=np.uint8))
-            for name in ("idle", "rx", "tx", "intf"):
-                assert getattr(coded, name).tobytes() == getattr(window, name).tobytes()
-            assert clean_signal(coded).tobytes() == cleaned.tobytes()
+        assert len(WINDOW_COUNTS) == 56
+        for (rx, tx, intf), code in zip(WINDOW_COUNTS, VALID_CODES):
+            counts = {"idle": N_TICKS - rx - tx - intf, "rx": rx, "tx": tx, "intf": intf}
+            fractions = {name: np.array([k / N_TICKS]) for name, k in counts.items()}
+            want = ref_clean_signal(SimpleNamespace(**fractions))
+            assert CODE_CLEANED[code:code + 1].tobytes() == want.tobytes(), counts
+            assert CODE_SAMPLES[code] == np.rint(SAMPLE_SCALE * want)[0], counts
+            # the code-backed window derives its fractions bit for bit
+            coded = MacStateSeries.from_codes(np.array([code], dtype=np.uint8))
+            for name, f in fractions.items():
+                assert getattr(coded, name).tobytes() == f.tobytes()
+            assert clean_signal(coded).tobytes() == want.tobytes()
 
 
 class TestReceiverConfig:
@@ -674,10 +645,9 @@ class TestCodeBackedFeed:
         by_code, by_float = Demodulator(config), Demodulator(config)
         decoded, prev = 0, 0
         for cut in [*cuts, n]:
-            chunk = MacStateSeries.from_codes(series.window_us, series.codes[prev:cut])
+            chunk = MacStateSeries.from_codes(series.codes[prev:cut])
             got = by_code.feed(chunk)
-            floats = MacStateSeries(chunk.window_us, chunk.idle, chunk.rx, chunk.tx, chunk.intf)
-            assert got == by_float.feed(clean_signal(floats))
+            assert got == by_float.feed(ref_clean_signal(chunk))
             assert by_code._state == by_float._state
             assert by_code._global0 == by_float._global0
             assert by_code._carry.tobytes() == by_float._carry.tobytes()

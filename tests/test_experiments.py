@@ -275,17 +275,18 @@ class TestRunStream:
             seen.append(series)
             return feed(self, series)
 
-        def refuse(self, count):
+        def refuse(self):
             raise AssertionError("a MAC-state fraction array was made")
 
         config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
         monkeypatch.setattr(Demodulator, "feed", spy)
-        monkeypatch.setattr(MacStateSeries, "_fraction", refuse)
+        for name in ("idle", "rx", "tx", "intf"):
+            monkeypatch.setattr(MacStateSeries, name, property(refuse))
         for scenario in ("clear", "background-high", "apdl-light"):
             run_stream(config, RadioLink.at_rx_power(-61.5, ed_register=28), scenario, 2,
                        np.random.default_rng(5))
         # two 86-cycle frames are two chunks per stream
-        assert len(seen) == 6 and all(series.codes is not None for series in seen)
+        assert len(seen) == 6 and all(series.codes.dtype == np.uint8 for series in seen)
 
 
 # ---------------------------------------------------------------------------

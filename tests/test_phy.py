@@ -230,6 +230,73 @@ class TestSampler:
         assert 0.4 < on_mean < 0.6
 
 
+# every state code the sampler can make: counts that fit one window
+VALID_CODES = [rx + CODE_BASE * tx + CODE_BASE**2 * intf
+               for rx in range(CODE_BASE) for tx in range(CODE_BASE) for intf in range(CODE_BASE)
+               if rx + tx + intf < CODE_BASE]
+
+
+def one_window(idle, rx, tx, intf, window_us=WINDOW_US) -> MacStateSeries:
+    return MacStateSeries(window_us, *(np.array([f], dtype=np.float64) for f in (idle, rx, tx, intf)))
+
+
+class TestMacStateSeries:
+    """The constructor is where fractions enter: it packs them into codes."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(codes=st.lists(st.sampled_from(VALID_CODES), max_size=60), block=st.integers(1, 40))
+    def test_fractions_give_back_their_codes(self, codes, block):
+        series = MacStateSeries.from_codes(np.array(codes, dtype=np.uint8))
+        with mock.patch.object(phy, "CONVERT_BLOCK", block):
+            again = MacStateSeries(series.window_us, series.idle, series.rx, series.tx, series.intf)
+        assert again.codes.dtype == np.uint8
+        assert again.codes.tobytes() == series.codes.tobytes()
+
+    def test_window_length_is_a_class_constant(self):
+        assert MacStateSeries.window_us == WINDOW_US
+        assert one_window(1.0, 0.0, 0.0, 0.0).window_us == WINDOW_US
+
+    @pytest.mark.parametrize("idle, rx, tx, intf", [
+        (2 / 3, 0.0, 0.0, 1 / 3),  # off the grid
+        (0.5, 0.0, 0.0, 0.5),  # TAU3, which no 5-tick window reaches
+        (1.2, -0.2, 0.0, 0.0),  # on the k / 5 grid but out of range
+        (0.0, 0.0, 0.0, 1.2),
+        (0.0, 0.0, 0.0, math.nan),
+        (0.0, 0.0, 0.0, math.inf),
+    ])
+    def test_rejects_fractions_off_the_tick_grid(self, idle, rx, tx, intf):
+        with pytest.raises(ValueError, match="whole number of ticks"):
+            one_window(idle, rx, tx, intf)
+
+    def test_rejects_windows_that_do_not_add_up(self):
+        with pytest.raises(ValueError, match="add up"):
+            one_window(0.2, 0.0, 0.0, 0.6)
+        with pytest.raises(ValueError, match="add up"):
+            one_window(1.0, 0.2, 0.0, 0.0)
+
+    def test_rejects_other_window_lengths(self):
+        with pytest.raises(ValueError, match="not 250 us"):
+            one_window(1.0, 0.0, 0.0, 0.0, window_us=200)
+
+    def test_rejects_arrays_of_unequal_shape(self):
+        z = np.zeros(3)
+        with pytest.raises(ValueError, match="one length"):
+            MacStateSeries(WINDOW_US, np.ones(3), z, z, np.zeros(4))
+        with pytest.raises(ValueError, match="one length"):
+            MacStateSeries(WINDOW_US, np.ones((3, 1)), z, z, z)
+
+    def test_finds_a_bad_window_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(phy, "CONVERT_BLOCK", 4)
+        idle, z = np.ones(10), np.zeros(10)
+        intf = z.copy()
+        intf[9] = 0.5
+        with pytest.raises(ValueError, match="intf is not a whole number"):
+            MacStateSeries(WINDOW_US, idle, z, z, intf)
+        intf[9] = 0.4
+        with pytest.raises(ValueError, match="add up"):
+            MacStateSeries(WINDOW_US, idle, z, z, intf)
+
+
 class TestTraffic:
     def make_wave(self, cycles=10):
         # 19 ms of ON needs no safety puncture: TX is one run per cycle

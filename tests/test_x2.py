@@ -1,12 +1,14 @@
 """Tests for the out-of-band control channel."""
 
 import concurrent.futures
+import gc
 import io
 import logging
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,27 @@ class TestHandshake:
             with pytest.raises(X2ProtocolError, match="AUTH"):
                 X2Client(service.address, NETWORK_ID + 1).connect()
 
+    def test_refused_handshake_closes_the_socket(self, monkeypatch):
+        # __exit__ does not run when __enter__ raises, so connect closes it
+        opened = []
+        create = socket.create_connection
+
+        def spy(*args, **kwargs):
+            opened.append(create(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", spy)
+        with make_service() as service:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(X2ProtocolError, match="AUTH"):
+                    with X2Client(service.address, NETWORK_ID + 1):
+                        pass
+                assert len(opened) == 1 and opened[0].fileno() == -1
+                opened.clear()
+                gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     def test_version_mismatch_is_protocol_error(self):
         with make_service() as service:
             with pytest.raises(X2ProtocolError, match="VERSION"):
@@ -506,6 +529,29 @@ def frames_of(blob: bytes) -> list[tuple[int, int, bytes]]:
     return out
 
 
+def small_send_buffers(monkeypatch) -> None:
+    """Give each connection the service accepts a small kernel send buffer,
+    so that most of a large reply waits in the service's own buffer."""
+    init = x2._Connection.__init__
+
+    def init_small(self, sock, now):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        init(self, sock, now)
+
+    monkeypatch.setattr(x2._Connection, "__init__", init_small)
+
+
+def pipelined_codebook_requests(service: X2Service, count: int) -> socket.socket:
+    """A connection with a small receive buffer that has sent count
+    GET_CODEBOOK requests at once."""
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(2.0)
+    sock.connect(service.address)
+    sock.sendall(encode_message(MessageType.GET_CODEBOOK) * count)
+    return sock
+
+
 class TestBoundedService:
     """Idle deadline and connection cap, with the constants made small."""
 
@@ -539,6 +585,38 @@ class TestBoundedService:
             assert set(threading.enumerate()) == started
         assert not set(threading.enumerate()) - before
 
+    def test_slow_reader_of_large_replies_is_not_idle(self, monkeypatch):
+        # the reader takes its replies over several deadlines and sends
+        # nothing after its requests; the bytes it takes keep it open
+        monkeypatch.setattr(x2, "IDLE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(x2, "_OUT_HIGH_WATER", 1024)
+        small_send_buffers(monkeypatch)
+        before = set(threading.enumerate())
+        with X2Service(make_codebook(100), NETWORK_ID).start() as service:
+            replies = encode_message(MessageType.CODEBOOK, service.codebook_bytes) * 40
+            with pipelined_codebook_requests(service, 40) as sock:
+                t0 = time.monotonic()
+                got = bytearray()
+                while len(got) < len(replies) and (chunk := sock.recv(2048)):
+                    got += chunk
+                    time.sleep(0.02)
+                assert time.monotonic() - t0 >= 2 * x2.IDLE_TIMEOUT_S
+            assert got == replies
+        assert not set(threading.enumerate()) - before
+
+    def test_peer_that_never_reads_still_times_out(self, monkeypatch):
+        monkeypatch.setattr(x2, "IDLE_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(x2, "_OUT_HIGH_WATER", 1024)
+        small_send_buffers(monkeypatch)
+        before = set(threading.enumerate())
+        with X2Service(make_codebook(100), NETWORK_ID).start() as service:
+            replies = encode_message(MessageType.CODEBOOK, service.codebook_bytes) * 40
+            with pipelined_codebook_requests(service, 40) as sock:
+                time.sleep(3 * x2.IDLE_TIMEOUT_S)
+                got = drain(sock)  # what the kernel buffers held, then the close
+            assert 0 < len(got) < len(replies) and replies.startswith(got)
+        assert not set(threading.enumerate()) - before
+
     def test_client_over_the_cap_is_refused(self, monkeypatch):
         monkeypatch.setattr(x2, "MAX_CONNECTIONS", 2)
         before = set(threading.enumerate())
@@ -546,12 +624,8 @@ class TestBoundedService:
             started = set(threading.enumerate())
             holders = [socket.create_connection(service.address, timeout=2.0) for _ in range(2)]
             try:
-                late = X2Client(service.address, NETWORK_ID, ap_id="ap-late")
-                try:
-                    with pytest.raises(X2ProtocolError, match="BUSY: too many connections"):
-                        late.connect()
-                finally:
-                    late.close()
+                with pytest.raises(X2ProtocolError, match="BUSY: too many connections"):
+                    X2Client(service.address, NETWORK_ID, ap_id="ap-late").connect()
                 # closing one holder frees its slot: its end-of-stream reply
                 # and close come after the service dropped the connection
                 holders[0].shutdown(socket.SHUT_WR)
