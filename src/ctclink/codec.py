@@ -199,11 +199,11 @@ class CodingScheme:
         k = 1 if self.style == "moving" else self.extra_punctures
         return math.comb(self.n_positions, k)
 
-    @property
+    @cached_property
     def bits_per_symbol(self) -> int:
         return self.capacity.bit_length() - 1
 
-    @property
+    @cached_property
     def alphabet_size(self) -> int:
         return 1 << self.bits_per_symbol
 

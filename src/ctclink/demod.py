@@ -19,10 +19,10 @@ preamble are +-1, so every correlation is an integer (4n times its value
 in the cleaned domain), and the first maximum among the templates does
 not depend on the order in which any sum is taken.
 
-Templates and the preamble reference come from clean-channel runs of the
-actual transmit/sample/clean pipeline, one per block of schedules, so the
-noiseless loopback is exact by construction; a config refuses ON times
-with room for two symbols.
+Templates and the preamble reference are the cleaned windows of a table
+of cycles that lays each schedule once with the transmitter's own
+generate_waveform, so the noiseless loopback is exact by construction; a
+config refuses ON times with room for two symbols.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from .codec import (
     CodingScheme,
     CtcFrame,
-    PunctureSchedule,
     encode_symbol,
     frame_symbol_count,
     parse_frame,
@@ -48,9 +47,8 @@ from .phy import (
     CsatConfig,
     MacStateSeries,
     generate_waveform,
-    sample_mac_states,
+    window_sums,
 )
-from .radio import RadioLink
 
 # cleaning thresholds: confident interference, confident silence, and the
 # rx/tx/idle share that marks a window as WiFi-dominated
@@ -63,7 +61,7 @@ TAU_P_FACTOR = 0.75
 # lie in [-n, n], and their correlations with +-1 references by 4n
 SAMPLE_SCALE = 2 * (WINDOW_US // RESOLUTION_US)
 CORR_SCALE = 2 * SAMPLE_SCALE
-# schedules per pipeline run when ReceiverConfig builds its references
+# schedules per generate_waveform call when ReceiverConfig lays its cycle table
 REFERENCE_BLOCK = 1024
 # windows that Demodulator.feed cleans, correlates and scans at a time
 FEED_BLOCK = 32768
@@ -131,12 +129,15 @@ class ReceiverConfig:
     Samples are WINDOW_US windows cleaned with TAU1-TAU3.  templates and
     preamble hold the signs (+-1) of the cleaned references.  max_corr is
     the preamble's peak correlation in the cleaned domain, and the
-    synchronization threshold tau_p is TAU_P_FACTOR times it.  Pipeline runs
-    of up to REFERENCE_BLOCK schedules build the templates and the
-    preamble, each schedule in a cycle of its own, so every ON phase must
-    hold one symbol.  Every cycle CsatConfig allows is a whole number of
-    windows.  The ON time must be one too, or the window that ends it
-    cleans to a value between the signs.
+    synchronization threshold tau_p is TAU_P_FACTOR times it.  Each ON
+    phase must hold one symbol, so a cycle's ticks are its schedule's: the
+    config lays each schedule once, REFERENCE_BLOCK per generate_waveform
+    call, and keeps its ticks bit-packed as a table row, the alphabet's
+    values first, then the preamble's two (preamble_rows); cycle_tx lays
+    any rows.  A reference is its row's window counts, cleaned as a clean
+    link's intf.  Every cycle CsatConfig allows is whole windows and bytes
+    of ticks; the ON time must be whole windows too, or the window that
+    ends it cleans to a value between the signs.
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -147,12 +148,22 @@ class ReceiverConfig:
         require_one_symbol_per_on(scheme, csat)
         self.scheme = scheme
         self.csat = csat
-        self.samples_per_cycle = csat.cycle_ms * 1000 // WINDOW_US  # W
+        W = self.samples_per_cycle = csat.cycle_ms * 1000 // WINDOW_US
         self.frame_symbols = frame_symbol_count(scheme)  # L
-        self.templates = self._references(
-            [encode_symbol(v, scheme) for v in range(scheme.alphabet_size)]
-        )
-        self.preamble = self._references(preamble_schedules(scheme)).ravel()
+        preamble = preamble_schedules(scheme)
+        schedules = [encode_symbol(v, scheme) for v in range(scheme.alphabet_size)] + [*preamble[:2]]
+        self.preamble_rows = tuple(scheme.alphabet_size + preamble.index(s) for s in preamble)
+        cycle_ticks = csat.cycle_ms * 1000 // RESOLUTION_US
+        self._packed_tx = np.empty((len(schedules), cycle_ticks // 8), dtype=np.uint8)
+        references = np.empty((len(schedules), W))
+        for i in range(0, len(schedules), REFERENCE_BLOCK):
+            rows = slice(i, i + REFERENCE_BLOCK)
+            tx = generate_waveform(csat, schedules[rows]).tx
+            self._packed_tx[rows] = np.packbits(tx.reshape(-1, cycle_ticks), axis=1)
+            codes = window_sums(tx.view(np.uint8)) * np.uint8(CODE_BASE**2)
+            np.multiply(CODE_CLEANED[codes].reshape(-1, W), 2.0, out=references[rows])
+        self.templates = references[:scheme.alphabet_size]
+        self.preamble = references[list(self.preamble_rows)].ravel()
         self.preamble_len = len(self.preamble)  # N = 4W
         # a perfect match of +-0.5 samples against the +-0.5 reference
         self.max_corr = float(self.preamble @ self.preamble) / 4
@@ -166,21 +177,10 @@ class ReceiverConfig:
             for e in np.flatnonzero(d[1:-1]) + 1
         )
 
-    def _references(self, schedules: Sequence[PunctureSchedule]) -> np.ndarray:
-        """Signs of each schedule's cleaned one-cycle reference, one row each:
-        clean-channel pipeline runs put schedule i alone in cycle i, laying
-        REFERENCE_BLOCK schedules per run so that no run's per-tick arrays
-        outgrow one block."""
-        W = self.samples_per_cycle
-        out = np.empty((len(schedules), W))
-        for i in range(0, len(schedules), REFERENCE_BLOCK):
-            block = schedules[i:i + REFERENCE_BLOCK]
-            wave = generate_waveform(self.csat, block)
-            # a link far above any ED threshold
-            series = sample_mac_states(wave, RadioLink(distance_m=1.0))
-            cleaned = CODE_CLEANED[series.codes].reshape(len(block), W)
-            np.multiply(cleaned, 2.0, out=out[i:i + len(block)])
-        return out
+    def cycle_tx(self, rows: Sequence[int]) -> np.ndarray:
+        """Transmit ticks of consecutive cycles holding the schedules of the
+        table's rows: generate_waveform's tx of those schedules."""
+        return np.unpackbits(self._packed_tx.take(rows, axis=0), axis=1).view(bool).ravel()
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
         """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.

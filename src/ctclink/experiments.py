@@ -32,8 +32,6 @@ from .phy import (
     TrafficTrace,
     Waveform,
     WifiFrames,
-    coverage,
-    generate_waveform,
     poisson_frames,
     sample_mac_states,
     saturated_frames,
@@ -215,38 +213,39 @@ def run_stream(
     of the whole stream, as frame starts and lengths on the LTE transmit
     runs.  It then lays, samples and decodes itself in chunks of
     CHUNK_CYCLES duty cycles, the first chunk with the lead-in: each chunk
-    paints its LTE transmissions and WiFi frames, draws its own ED noise
-    and feeds its state codes to one Demodulator.  The draws come in the
-    same order as for the whole stream at once, and no per-tick array is
-    longer than one chunk plus the lead-in.  Cycle c holds schedule c
-    alone (ReceiverConfig refuses room for two symbols) and ends in OFF
-    time (duty at most 50%), so a chunk's waveform is that of its own
-    schedules and no transmit run crosses a chunk's edge.  Each step is a
-    stage of timing.
+    lays its LTE transmissions and paints its WiFi frames, draws its own
+    ED noise and feeds its state codes to one Demodulator.  The draws come
+    in the same order as for the whole stream at once, and no per-tick
+    array is longer than one chunk plus the lead-in.  Cycle c holds
+    schedule c alone, so the LTE ticks are rows of the config's cycle
+    table (cycle_tx), each frame the preamble's rows and then its data
+    values, and no transmit run crosses a chunk's edge.  Each step is a
+    stage of timing.  ValueError unless there is at least one frame.
     """
     scheme, csat = config.scheme, config.csat
+    if n_frames < 1:
+        raise ValueError(f"a stream needs at least one frame, not {n_frames}")
     with timing.stage("frame_build"):
         tx_symbols = []
-        schedules = []
+        rows = []
         for _ in range(n_frames):
             network_id, clusters = _random_payload(rng)
             stream = build_frame(network_id, clusters, scheme)
             tx_symbols.append(list(stream.data))
-            schedules.extend(stream.schedules())
+            rows += config.preamble_rows + stream.data
+        rows = np.array(rows)
     lead_windows = int(rng.integers(0, 2 * config.samples_per_cycle))
     ticks_per_window = WINDOW_US // RESOLUTION_US
     lead = lead_windows * ticks_per_window
     cycle_ticks = config.samples_per_cycle * ticks_per_window
-    # generate_waveform lays one plain cycle when there are no symbols
-    n_cycles = max(1, len(schedules))
-    firsts = range(0, n_cycles, CHUNK_CYCLES)
+    firsts = range(0, len(rows), CHUNK_CYCLES)
     # chunk k covers ticks [edges[k], edges[k + 1])
-    edges = [0] + [lead + c * cycle_ticks for c in firsts[1:]] + [lead + n_cycles * cycle_ticks]
+    edges = [0] + [lead + c * cycle_ticks for c in firsts[1:]] + [lead + len(rows) * cycle_ticks]
 
     with timing.stage("waveform"):
         # the transmit runs on the stream's tick axis, laid chunk by chunk
         lte_starts, lte_ends = np.concatenate([
-            np.stack(tick_runs(generate_waveform(csat, schedules[c:c + CHUNK_CYCLES]).tx))
+            np.stack(tick_runs(config.cycle_tx(rows[c:c + CHUNK_CYCLES])))
             + (lead + c * cycle_ticks)
             for c in firsts
         ], axis=1)
@@ -257,12 +256,11 @@ def run_stream(
 
     demod = Demodulator(config)
     decoded = []
-    # no run crosses a chunk's edge: runs bounds[k] to bounds[k + 1] are chunk k's
-    bounds = np.searchsorted(lte_starts, edges).tolist()
-    for k, (t0, t1) in enumerate(zip(edges, edges[1:])):
+    for c, t0, t1 in zip(firsts, edges, edges[1:]):
         with timing.stage("waveform"):
-            i, j = bounds[k], bounds[k + 1]
-            wave = Waveform(csat, coverage(lte_starts[i:j] - t0, lte_ends[i:j] - t0, t1 - t0))
+            wave = Waveform(csat, config.cycle_tx(rows[c:c + CHUNK_CYCLES]))
+            if c == 0:
+                wave = wave.with_lead_in(lead)
         with timing.stage("traffic"):
             traffic = None if frames is None else frames.paint(t0, t1)
         with timing.stage("sampler"):

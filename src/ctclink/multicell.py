@@ -28,7 +28,7 @@ import numpy as np
 from ._csv import write_csv
 from .codec import CodingScheme, N_CLUSTER_FIELDS, build_frame, get_scheme
 from .demod import ReceiverConfig, demodulate
-from .phy import CsatConfig, generate_waveform, sample_mac_states
+from .phy import CsatConfig, Waveform, sample_mac_states
 from .radio import (
     NOISE_FLOOR_DBM,
     SENSITIVITY_DBM,
@@ -487,16 +487,10 @@ def full_stack_check(
     csat = csat or CsatConfig(40, 20)
     config = ReceiverConfig(scheme, csat)
     configurations, codebook = build_cluster_configurations(dep)
-    cluster_ids = {
-        bs.cell_id: [c.cluster_of(bs.cell_id) for c in configurations]
-        for bs in dep.stations
-    }
-    waveforms = {
-        bs.cell_id: generate_waveform(
-            csat, list(build_frame(network_id, cluster_ids[bs.cell_id], scheme).schedules())
-        )
-        for bs in dep.stations
-    }
+    waveforms = []  # per station, its frame laid from the config's cycle table
+    for bs in dep.stations:
+        stream = build_frame(network_id, [c.cluster_of(bs.cell_id) for c in configurations], scheme)
+        waveforms.append(Waveform(csat, config.cycle_tx(config.preamble_rows + stream.data)))
     results = []
     for point in np.atleast_2d(np.asarray(points, dtype=float)):
         rx = received_powers_dbm(dep, point[None, :], shadowing=shadowing)[0]
@@ -510,7 +504,7 @@ def full_stack_check(
             )
             for bs, offset in zip(dep.stations, offsets)
         ]
-        series = sample_mac_states([waveforms[bs.cell_id] for bs in dep.stations], links)
+        series = sample_mac_states(waveforms, links)
         decoded = [f for f in demodulate(series, config) if f.complete]
         pairs = set()
         network_decoded = False

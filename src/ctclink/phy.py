@@ -570,6 +570,18 @@ class MacStateSeries:
         return len(self.codes)
 
 
+def window_sums(ticks: np.ndarray) -> np.ndarray:
+    """Sums of a uint8 tick array over each whole WINDOW_US window."""
+    per_win = WINDOW_US // RESOLUTION_US
+    n_win = len(ticks) // per_win
+    # adding the per_win uint8 columns beats a reduction along the short axis
+    cols = ticks[:n_win * per_win].reshape(n_win, per_win)
+    sums = cols[:, 0].copy()
+    for k in range(1, per_win):
+        sums += cols[:, k]
+    return sums
+
+
 def _binomial_cdfs(n_max: int, p: float) -> np.ndarray:
     """cdf[j, n] = P(K <= j) for K ~ Binomial(n, p), j < n_max and n <= n_max."""
     cdf = np.ones((n_max, n_max + 1))
@@ -639,16 +651,7 @@ def sample_mac_states(
             noisy = wave, 0.5 * math.erfc((theta - level) / (ed_noise_sigma_db * math.sqrt(2.0)))
 
     per_win = WINDOW_US // RESOLUTION_US
-    n_win = n_ticks // per_win
-    cut = n_win * per_win
-
-    def window_sums(ticks: np.ndarray) -> np.ndarray:
-        # adding the per_win uint8 columns beats a reduction along the short axis
-        cols = ticks[:cut].reshape(n_win, per_win)
-        sums = cols[:, 0].copy()
-        for k in range(1, per_win):
-            sums += cols[:, k]
-        return sums
+    cut = n_ticks // per_win * per_win
 
     # per tick: CODE_BASE**2 for intf, CODE_BASE for tx, 1 for rx, 0 for idle
     if traffic is None:

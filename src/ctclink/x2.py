@@ -18,17 +18,20 @@ X2WireError like any other malformed payload.
 
 The service runs one thread, a selectors loop that serves every
 connection.  It closes a connection that has neither sent nor taken a
-byte for IDLE_TIMEOUT_S, a stalled partial frame included, and answers a
-connection beyond MAX_CONNECTIONS with a BUSY error, then closes it.
+byte for IDLE_TIMEOUT_S, a stalled partial frame included (bytes that leave
+its kernel send queue count as taken while its output waits), and answers
+a connection beyond MAX_CONNECTIONS with a BUSY error, then closes it.
 """
 
 from __future__ import annotations
 
 import enum
+import fcntl
 import logging
 import selectors
 import socket
 import struct
+import termios
 import threading
 import time
 from dataclasses import dataclass, field
@@ -279,7 +282,8 @@ _TOO_MANY = _error_frame(ErrorCode.BUSY, "too many connections")
 class _Connection:
     """One accepted socket: unparsed input, unsent output, handshake state."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "registered_ap", "closing", "last_io", "events")
+    __slots__ = ("sock", "inbuf", "outbuf", "registered_ap", "closing", "last_io", "unsent",
+                 "events")
 
     def __init__(self, sock: socket.socket, now: float) -> None:
         self.sock = sock
@@ -288,7 +292,16 @@ class _Connection:
         self.registered_ap: str | None = None
         self.closing = False  # close once outbuf is sent
         self.last_io = now  # when bytes last moved either way, for the idle deadline
+        self.unsent: int | None = None  # the kernel's unsent bytes at last_io, if output waits
         self.events = selectors.EVENT_READ
+
+
+def _unsent_bytes(sock: socket.socket) -> int | None:
+    """Bytes the kernel holds unsent on sock (SIOCOUTQ), or None if it cannot tell."""
+    try:
+        return struct.unpack("i", fcntl.ioctl(sock, termios.TIOCOUTQ, bytes(4)))[0]
+    except OSError:
+        return None
 
 
 class _Server:
@@ -440,6 +453,7 @@ class _Server:
             if sent:  # a peer that takes bytes is not idle
                 del out[:sent]
                 conn.last_io = now
+                conn.unsent = _unsent_bytes(conn.sock) if out else None
             if out or not full:
                 break
         if conn.closing and not out:
@@ -452,12 +466,18 @@ class _Server:
 
     def _expire(self, now: float) -> float | None:
         """Close connections that moved no bytes for the idle deadline;
-        return when the next one is due."""
+        return when the next one is due.  A slow reader may free too little of
+        its send queue for its socket to become writable within a deadline,
+        so while output waits, a drop in the queue's unsent count is progress."""
         oldest = None
         for conn in list(self._conns.values()):
             if now - conn.last_io >= IDLE_TIMEOUT_S:
-                self._close(conn)
-            elif oldest is None or conn.last_io < oldest:
+                unsent = _unsent_bytes(conn.sock) if conn.outbuf else None
+                if unsent is None or conn.unsent is None or unsent >= conn.unsent:
+                    self._close(conn)
+                    continue
+                conn.last_io, conn.unsent = now, unsent
+            if oldest is None or conn.last_io < oldest:
                 oldest = conn.last_io
         return None if oldest is None else oldest + IDLE_TIMEOUT_S
 

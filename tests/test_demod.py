@@ -204,6 +204,23 @@ class TestReceiverConfig:
                 ReceiverConfig(scheme, CsatConfig(cycle_ms, two / per_ms))
 
 
+class TestCycleTable:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(sorted(default_schemes())),
+           cycle_ms=st.sampled_from(CYCLE_CHOICES), data=st.data())
+    def test_rows_lay_as_generate_waveform(self, name, cycle_ms, data):
+        scheme = get_scheme(name)
+        per_ms = 1000 // WINDOW_US
+        lo, two = (per_ms * ms for ms in one_symbol_on_bounds(scheme))
+        windows = data.draw(st.integers(lo, min(two - 1, cycle_ms * per_ms // 2)))
+        config = ReceiverConfig(scheme, CsatConfig(cycle_ms, windows / per_ms))
+        values = tuple(data.draw(st.lists(st.integers(0, scheme.alphabet_size - 1), max_size=8)))
+        schedules = [*preamble_schedules(scheme), *(encode_symbol(v, scheme) for v in values)]
+        got = config.cycle_tx(config.preamble_rows + values)
+        assert got.dtype == bool
+        assert np.array_equal(got, generate_waveform(config.csat, schedules).tx)
+
+
 def one_symbol_on_bounds(scheme) -> tuple[int, int]:
     """(longest transmit span of a symbol, symbol plus the shortest span) in
     ms: ON times from the first up to below the second hold one symbol."""

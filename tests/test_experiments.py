@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctclink import experiments
+from ctclink import demod, experiments, multicell, phy
 from ctclink.experiments import (
     DEFAULT_ED_NOISE_SIGMA_DB,
     SCENARIOS,
@@ -43,6 +43,7 @@ from ctclink.phy import (
     sample_mac_states,
 )
 from ctclink.codec import build_frame
+from ctclink.multicell import build_hex_deployment, full_stack_check
 from ctclink.radio import RadioLink, map_ed_register
 
 
@@ -383,6 +384,46 @@ class TestChunkedStream:
 
     def test_default_chunk_is_one_wide20_frame(self):
         assert experiments.CHUNK_CYCLES == 4 + CONFIGS["wide20 40/20"].frame_symbols
+
+
+def spy_on(monkeypatch, name: str) -> list:
+    """The code object of each caller of phy's ``name``, through any module
+    that imports it."""
+    callers = []
+    real = getattr(phy, name)
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code)
+        return real(*args, **kwargs)
+
+    for module in (phy, demod, experiments, multicell):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, spy)
+    return callers
+
+
+class TestLaidFromTheCycleTable:
+    def test_streams_and_stations_call_no_waveform_builder(self, monkeypatch):
+        laid = spy_on(monkeypatch, "generate_waveform")
+        painted = spy_on(monkeypatch, "coverage")
+        config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
+        for scenario in ("clear", "background-light", "apdl-high"):
+            run_stream(config, RadioLink.at_rx_power(-61.0, ed_register=3), scenario, 2,
+                       np.random.default_rng(1))
+        dep = build_hex_deployment(7)
+        full_stack_check(dep, dep.positions_m[:1])
+        # only the tables lay waveforms, and only WiFi frames are painted
+        assert set(laid) == {ReceiverConfig.__init__.__code__}
+        assert set(painted) == {phy.WifiFrames.paint.__code__}
+
+    @pytest.mark.parametrize("n_frames", [0, -1])
+    def test_stream_without_frames_rejected(self, n_frames):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least one frame"):
+            run_stream(CONFIGS["wide20 40/20"], RadioLink.at_rx_power(-61.0, ed_register=28),
+                       "clear", n_frames, rng)
+        assert rng.bit_generator.state == state
 
 
 def stream_peaks_kb(scenario: str) -> tuple[int, int]:

@@ -529,13 +529,13 @@ def frames_of(blob: bytes) -> list[tuple[int, int, bytes]]:
     return out
 
 
-def small_send_buffers(monkeypatch) -> None:
+def small_send_buffers(monkeypatch, nbytes: int = 4096) -> None:
     """Give each connection the service accepts a small kernel send buffer,
     so that most of a large reply waits in the service's own buffer."""
     init = x2._Connection.__init__
 
     def init_small(self, sock, now):
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, nbytes)
         init(self, sock, now)
 
     monkeypatch.setattr(x2._Connection, "__init__", init_small)
@@ -615,6 +615,29 @@ class TestBoundedService:
                 time.sleep(3 * x2.IDLE_TIMEOUT_S)
                 got = drain(sock)  # what the kernel buffers held, then the close
             assert 0 < len(got) < len(replies) and replies.startswith(got)
+        assert not set(threading.enumerate()) - before
+
+    def test_reader_slower_than_its_socket_wakeups_is_not_idle(self, monkeypatch):
+        # the reader frees too little of the 64 KiB send buffer per deadline
+        # for its socket to become writable, so the service sends it nothing
+        # for longer than a deadline; the kernel's unsent count still drops.
+        # (A 4 KiB buffer becomes writable about as soon as that count drops.)
+        monkeypatch.setattr(x2, "IDLE_TIMEOUT_S", 0.5)
+        monkeypatch.setattr(x2, "_OUT_HIGH_WATER", 1024)
+        small_send_buffers(monkeypatch, 1 << 16)
+        before = set(threading.enumerate())
+        with X2Service(make_codebook(100), NETWORK_ID).start() as service:
+            replies = encode_message(MessageType.CODEBOOK, service.codebook_bytes) * 80
+            with pipelined_codebook_requests(service, 80) as sock:
+                t0 = time.monotonic()
+                got = bytearray()
+                while time.monotonic() - t0 < 3 * x2.IDLE_TIMEOUT_S:
+                    got += sock.recv(512)
+                    time.sleep(0.02)
+                # still open: the rest arrives in full, not cut off by a close
+                while len(got) < len(replies) and (chunk := sock.recv(65536)):
+                    got += chunk
+            assert got == replies
         assert not set(threading.enumerate()) - before
 
     def test_client_over_the_cap_is_refused(self, monkeypatch):
