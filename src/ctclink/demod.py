@@ -135,9 +135,10 @@ class ReceiverConfig:
     call, and keeps its ticks bit-packed as a table row, the alphabet's
     values first, then the preamble's two (preamble_rows); cycle_tx lays
     any rows.  A reference is its row's window counts, cleaned as a clean
-    link's intf.  Every cycle CsatConfig allows is whole windows and bytes
-    of ticks; the ON time must be whole windows too, or the window that
-    ends it cleans to a value between the signs.
+    link's intf.  Every cycle CsatConfig allows is bytes of windows and of
+    ticks.  Punctures and safety gaps are whole windows; the ON time must
+    be too, or the window that ends it cleans to a value between the
+    signs.  So a window sends on all its ticks or none (cycle_windows).
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -155,12 +156,14 @@ class ReceiverConfig:
         self.preamble_rows = tuple(scheme.alphabet_size + preamble.index(s) for s in preamble)
         cycle_ticks = csat.cycle_ms * 1000 // RESOLUTION_US
         self._packed_tx = np.empty((len(schedules), cycle_ticks // 8), dtype=np.uint8)
+        self._packed_on = np.empty((len(schedules), W // 8), dtype=np.uint8)
         references = np.empty((len(schedules), W))
         for i in range(0, len(schedules), REFERENCE_BLOCK):
             rows = slice(i, i + REFERENCE_BLOCK)
             tx = generate_waveform(csat, schedules[rows]).tx
             self._packed_tx[rows] = np.packbits(tx.reshape(-1, cycle_ticks), axis=1)
             codes = window_sums(tx.view(np.uint8)) * np.uint8(CODE_BASE**2)
+            self._packed_on[rows] = np.packbits(codes.reshape(-1, W) > 0, axis=1)
             np.multiply(CODE_CLEANED[codes].reshape(-1, W), 2.0, out=references[rows])
         self.templates = references[:scheme.alphabet_size]
         self.preamble = references[list(self.preamble_rows)].ravel()
@@ -180,7 +183,11 @@ class ReceiverConfig:
     def cycle_tx(self, rows: Sequence[int]) -> np.ndarray:
         """Transmit ticks of consecutive cycles holding the schedules of the
         table's rows: generate_waveform's tx of those schedules."""
-        return np.unpackbits(self._packed_tx.take(rows, axis=0), axis=1).view(bool).ravel()
+        return np.unpackbits(self._packed_tx.take(rows, axis=0).ravel()).view(bool)
+
+    def cycle_windows(self, rows: Sequence[int]) -> np.ndarray:
+        """Windows of cycle_tx(rows) that transmit: each is all or nothing."""
+        return np.unpackbits(self._packed_on.take(rows, axis=0).ravel()).view(bool)
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:
         """r[t] = dot(preamble, x[t - N + 1:t + 1]); -inf while that window is short.
@@ -307,7 +314,7 @@ def _receiver_scan(x, pre_corr, templates, W, L, tau_p, start, state):
 def _integer_samples(chunk: MacStateSeries | np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The receiver's integer samples of windows [lo, hi) of a chunk."""
     if isinstance(chunk, MacStateSeries):
-        return CODE_SAMPLES[chunk.codes[lo:hi]]
+        return CODE_SAMPLES.take(chunk.codes[lo:hi])
     return np.rint(SAMPLE_SCALE * chunk[lo:hi])
 
 

@@ -34,6 +34,7 @@ from .phy import (
     WifiFrames,
     poisson_frames,
     sample_mac_states,
+    sample_window_counts,
     saturated_frames,
     tick_runs,
 )
@@ -211,16 +212,16 @@ def run_stream(
 
     The stream first draws its payloads, its lead-in and the WiFi traffic
     of the whole stream, as frame starts and lengths on the LTE transmit
-    runs.  It then lays, samples and decodes itself in chunks of
-    CHUNK_CYCLES duty cycles, the first chunk with the lead-in: each chunk
-    lays its LTE transmissions and paints its WiFi frames, draws its own
-    ED noise and feeds its state codes to one Demodulator.  The draws come
-    in the same order as for the whole stream at once, and no per-tick
-    array is longer than one chunk plus the lead-in.  Cycle c holds
-    schedule c alone, so the LTE ticks are rows of the config's cycle
-    table (cycle_tx), each frame the preamble's rows and then its data
-    values, and no transmit run crosses a chunk's edge.  Each step is a
-    stage of timing.  ValueError unless there is at least one frame.
+    runs.  It then samples and decodes itself in chunks of CHUNK_CYCLES
+    duty cycles, the first with the lead-in, each drawing its own ED noise
+    into one Demodulator.  Cycle c holds schedule c alone, so the cycles
+    are rows of the config's cycle table, each frame the preamble's rows
+    and then its data values.  A clear chunk is sampled from the rows'
+    window counts (cycle_windows, sample_window_counts); a traffic chunk
+    lays its ticks (cycle_tx) and WiFi frames for sample_mac_states.  The
+    draws come in the same order as for the whole stream at once, and no
+    per-tick array is longer than one chunk plus the lead-in.  Each step
+    is a stage of timing.  ValueError unless there is at least one frame.
     """
     scheme, csat = config.scheme, config.csat
     if n_frames < 1:
@@ -242,31 +243,41 @@ def run_stream(
     # chunk k covers ticks [edges[k], edges[k + 1])
     edges = [0] + [lead + c * cycle_ticks for c in firsts[1:]] + [lead + len(rows) * cycle_ticks]
 
-    with timing.stage("waveform"):
-        # the transmit runs on the stream's tick axis, laid chunk by chunk
-        lte_starts, lte_ends = np.concatenate([
-            np.stack(tick_runs(config.cycle_tx(rows[c:c + CHUNK_CYCLES])))
-            + (lead + c * cycle_ticks)
-            for c in firsts
-        ], axis=1)
-    sensed = link.mean_rx_dbm() >= link.ed_threshold_dbm
-    busy_runs = (lte_starts, lte_ends) if sensed else (np.zeros(0, dtype=np.int64),) * 2
-    with timing.stage("traffic"):
-        frames = scenario_frames(scenario, edges[-1], (lte_starts, lte_ends), busy_runs, rng)
+    frames = None
+    if scenario != "clear":
+        with timing.stage("waveform"):
+            # the transmit runs on the stream's tick axis, from each chunk's
+            # windows, which transmit on all their ticks or none
+            lte_starts, lte_ends = np.concatenate([
+                np.stack(tick_runs(config.cycle_windows(rows[c:c + CHUNK_CYCLES])))
+                * ticks_per_window + (lead + c * cycle_ticks)
+                for c in firsts
+            ], axis=1)
+        sensed = link.mean_rx_dbm() >= link.ed_threshold_dbm
+        busy_runs = (lte_starts, lte_ends) if sensed else (np.zeros(0, dtype=np.int64),) * 2
+        with timing.stage("traffic"):
+            frames = scenario_frames(scenario, edges[-1], (lte_starts, lte_ends), busy_runs, rng)
 
     demod = Demodulator(config)
     decoded = []
     for c, t0, t1 in zip(firsts, edges, edges[1:]):
-        with timing.stage("waveform"):
-            wave = Waveform(csat, config.cycle_tx(rows[c:c + CHUNK_CYCLES]))
-            if c == 0:
-                wave = wave.with_lead_in(lead)
-        with timing.stage("traffic"):
-            traffic = None if frames is None else frames.paint(t0, t1)
-        with timing.stage("sampler"):
-            series = sample_mac_states(
-                wave, link, traffic, ed_noise_sigma_db=DEFAULT_ED_NOISE_SIGMA_DB, rng=rng
-            )
+        chunk = rows[c:c + CHUNK_CYCLES]
+        if frames is None:
+            with timing.stage("waveform"):
+                counts = config.cycle_windows(chunk).view(np.uint8) * np.uint8(ticks_per_window)
+                if c == 0:
+                    counts = np.concatenate([np.zeros(lead_windows, dtype=np.uint8), counts])
+            with timing.stage("sampler"):
+                series = sample_window_counts(counts, link, DEFAULT_ED_NOISE_SIGMA_DB, rng)
+        else:
+            with timing.stage("waveform"):
+                wave = Waveform(csat, config.cycle_tx(chunk))
+                if c == 0:
+                    wave = wave.with_lead_in(lead)
+            with timing.stage("traffic"):
+                traffic = frames.paint(t0, t1)
+            with timing.stage("sampler"):
+                series = sample_mac_states(wave, link, traffic, DEFAULT_ED_NOISE_SIGMA_DB, rng)
         with timing.stage("receiver"):
             decoded += demod.feed(series)
     with timing.stage("receiver"):
@@ -316,7 +327,11 @@ class SweepResult:
 
 def run_link_sweep(spec: ExperimentSpec) -> SweepResult:
     """FER/SER versus receive power, one point per power in sweep order."""
-    config = ReceiverConfig(get_scheme(spec.scheme), spec.csat)
+    return _link_sweep(spec, ReceiverConfig(get_scheme(spec.scheme), spec.csat))
+
+
+def _link_sweep(spec: ExperimentSpec, config: ReceiverConfig) -> SweepResult:
+    """run_link_sweep with the spec's ReceiverConfig already built."""
     n = spec.frames_per_point
     points = []
     for i, power in enumerate(spec.powers_dbm):
@@ -387,14 +402,15 @@ def run_ed_sweep(
     spec: ExperimentSpec,
     thetas: tuple[int, ...] = (3, 28),
 ) -> EdSweepResult:
-    """Link sweep per ED register; powers re-centered on each register."""
+    """Link sweep per ED register through one ReceiverConfig; powers re-centered on each."""
     if len(set(thetas)) != len(thetas):
         raise ValueError(f"ED registers {','.join(map(str, thetas))} repeat a register")
+    config = ReceiverConfig(get_scheme(spec.scheme), spec.csat)
     sweeps: dict[int, SweepResult] = {}
     knees: list[KneeSummary] = []
     for theta in thetas:
         sub = replace(spec, theta=theta, powers_dbm=default_power_sweep(theta))
-        result = run_link_sweep(sub)
+        result = _link_sweep(sub, config)
         sweeps[theta] = result
         powers, fers = result.fer_curve()
         knee, drop, width = knee_metrics(powers, fers)

@@ -29,7 +29,7 @@ import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -582,15 +582,44 @@ def window_sums(ticks: np.ndarray) -> np.ndarray:
     return sums
 
 
+@lru_cache(maxsize=16)  # a table per detection probability in use
 def _binomial_cdfs(n_max: int, p: float) -> np.ndarray:
-    """cdf[j, n] = P(K <= j) for K ~ Binomial(n, p), j < n_max and n <= n_max."""
+    """cdf[j, n] = P(K <= j) for K ~ Binomial(n, p), j < n_max and n <= n_max; read-only."""
     cdf = np.ones((n_max, n_max + 1))
     for n in range(1, n_max + 1):
         total = 0.0
         for j in range(n):
             total += math.comb(n, j) * p**j * (1.0 - p) ** (n - j)
             cdf[j, n] = total
+    cdf.flags.writeable = False
     return cdf
+
+
+def _detection_probability(link: RadioLink, ed_noise_sigma_db: float) -> float:
+    """p of sample_mac_states: 1.0 above the noise band, 0.0 below it, else in between."""
+    level, theta = link.mean_rx_dbm(), link.ed_threshold_dbm
+    margin = 8.0 * ed_noise_sigma_db
+    if level - theta >= margin:
+        return 1.0
+    if ed_noise_sigma_db > 0 and theta - level < margin:
+        return 0.5 * math.erfc((theta - level) / (ed_noise_sigma_db * math.sqrt(2.0)))
+    return 0.0
+
+
+def _add_noise(codes: np.ndarray, open_ticks: np.ndarray, p: float, rng) -> None:
+    """Add each window's Binomial(n, p) intf count to its code, n its open ticks."""
+    if rng is None:
+        raise ValueError("measurement noise needs a random generator")
+    drawn = np.flatnonzero(open_ticks > 0)
+    # one uniform u per such window: its count is the number of j with
+    # u >= P(K <= j), K ~ Binomial(n, p), which is K's inverse CDF at u
+    u = rng.random(len(drawn))
+    cdf = _binomial_cdfs(CODE_BASE - 1, p)  # CODE_BASE - 1 ticks per window
+    counts = open_ticks[drawn].astype(np.intp)
+    detected = np.zeros(len(drawn), dtype=np.uint8)
+    for j in range(CODE_BASE - 1):
+        detected += u >= cdf[j].take(counts)
+    codes[drawn] += detected * np.uint8(CODE_BASE**2)
 
 
 def sample_mac_states(
@@ -638,17 +667,13 @@ def sample_mac_states(
     detect = np.zeros(n_ticks, dtype=bool)
     noisy: tuple[Waveform, float] | None = None  # the source in the noise band, its p
     for wave, link in zip(waveforms, links):
-        level = link.mean_rx_dbm()
-        theta = link.ed_threshold_dbm
-        margin = 8.0 * ed_noise_sigma_db
-        if level - theta >= margin:
+        p = _detection_probability(link, ed_noise_sigma_db)
+        if p == 1.0:
             detect[:wave.n_ticks] |= wave.tx
-        elif ed_noise_sigma_db > 0 and theta - level < margin:
-            if rng is None:
-                raise ValueError("measurement noise needs a random generator")
+        elif p > 0.0:
             if noisy is not None:
                 raise ValueError("at most one source may lie within 8 sigma of its ED threshold")
-            noisy = wave, 0.5 * math.erfc((theta - level) / (ed_noise_sigma_db * math.sqrt(2.0)))
+            noisy = wave, p
 
     per_win = WINDOW_US // RESOLUTION_US
     cut = n_ticks // per_win * per_win
@@ -673,15 +698,17 @@ def sample_mac_states(
         open_ticks = np.zeros(cut, dtype=np.uint8)
         m = min(cut, wave.n_ticks)
         np.greater(wave.tx[:m], code[:m], out=open_ticks[:m])
-        n = window_sums(open_ticks)
-        drawn = np.flatnonzero(n > 0)
-        # one uniform u per such window: its count is the number of j with
-        # u >= P(K <= j), K ~ Binomial(n, p), which is K's inverse CDF at u
-        u = rng.random(len(drawn))
-        cdf = _binomial_cdfs(per_win, p)
-        counts = n[drawn].astype(np.intp)
-        detected = np.zeros(len(drawn), dtype=np.uint8)
-        for j in range(per_win):
-            detected += u >= cdf[j].take(counts)
-        codes[drawn] += detected * np.uint8(CODE_BASE**2)
+        _add_noise(codes, window_sums(open_ticks), p, rng)
+    return MacStateSeries.from_codes(codes)
+
+
+def sample_window_counts(counts: np.ndarray, link: RadioLink, ed_noise_sigma_db: float = 0.0,
+                         rng: np.random.Generator | None = None) -> MacStateSeries:
+    """sample_mac_states of one LTE source and no WiFi traffic, from its per-window
+    transmit tick counts (uint8): all its ticks are open to the noise, so the
+    codes and draws are those of sample_mac_states on any ticks with the counts."""
+    p = _detection_probability(link, ed_noise_sigma_db)
+    codes = counts * np.uint8(CODE_BASE**2 if p == 1.0 else 0)
+    if 0.0 < p < 1.0:
+        _add_noise(codes, counts, p, rng)
     return MacStateSeries.from_codes(codes)

@@ -41,11 +41,15 @@ from ctclink.experiments import DEFAULT_ED_NOISE_SIGMA_DB, scenario_traffic
 from ctclink.phy import (
     CODE_BASE,
     CYCLE_CHOICES,
+    RESOLUTION_US,
     WINDOW_US,
     CsatConfig,
     MacStateSeries,
+    Waveform,
     generate_waveform,
     sample_mac_states,
+    sample_window_counts,
+    window_sums,
 )
 from ctclink.radio import RadioLink
 
@@ -204,6 +208,10 @@ class TestReceiverConfig:
                 ReceiverConfig(scheme, CsatConfig(cycle_ms, two / per_ms))
 
 
+# rows of a cycle table unpacked at a time: a few MB of multi20-k9 ticks at 160 ms
+ROW_BLOCK = 1024
+
+
 class TestCycleTable:
     @settings(max_examples=30, deadline=None)
     @given(name=st.sampled_from(sorted(default_schemes())),
@@ -219,6 +227,50 @@ class TestCycleTable:
         got = config.cycle_tx(config.preamble_rows + values)
         assert got.dtype == bool
         assert np.array_equal(got, generate_waveform(config.csat, schedules).tx)
+        # every row's windows transmit on all their ticks or none, and its
+        # bit per window says which
+        n_rows = scheme.alphabet_size + 2
+        for lo in range(0, n_rows, ROW_BLOCK):
+            rows = range(lo, min(lo + ROW_BLOCK, n_rows))
+            counts = window_sums(config.cycle_tx(rows).view(np.uint8))
+            assert np.all((counts == 0) | (counts == WINDOW_US // RESOLUTION_US))
+            windows = config.cycle_windows(rows)
+            assert windows.dtype == bool
+            assert np.array_equal(windows, counts > 0)
+
+
+class TestWindowCountSampler:
+    @pytest.mark.parametrize("cycle_ms", CYCLE_CHOICES)
+    @pytest.mark.parametrize("name", sorted(default_schemes()))
+    def test_counts_sample_as_their_ticks(self, name, cycle_ms):
+        """sample_window_counts of rows' window counts, after a lead-in,
+        equals sample_mac_states of their ticks in codes and generator state."""
+        scheme = get_scheme(name)
+        config = ReceiverConfig(scheme, CsatConfig(cycle_ms, one_symbol_on_bounds(scheme)[0]))
+        per_win = WINDOW_US // RESOLUTION_US
+
+        @settings(max_examples=10, deadline=None)
+        @given(values=st.lists(st.integers(0, scheme.alphabet_size - 1), max_size=6),
+               lead=st.integers(0, 2 * config.samples_per_cycle),
+               sigma=st.sampled_from([0.0, 0.6]),
+               # sigmas (0.5 dB without noise) from the ED threshold: below,
+               # at and inside the edges of the noise band, and above it
+               offset=st.sampled_from([-20.0, -8.0, -7.5, -0.5, 0.0, 0.5, 7.5, 8.0, 20.0]),
+               seed=st.integers(0, 2**32 - 1))
+        def check(values, lead, sigma, offset, seed):
+            rows = config.preamble_rows + tuple(values)
+            counts = np.concatenate([np.zeros(lead, dtype=np.uint8),
+                                     config.cycle_windows(rows).view(np.uint8) * np.uint8(per_win)])
+            wave = Waveform(config.csat, config.cycle_tx(rows)).with_lead_in(lead * per_win)
+            link = RadioLink.at_rx_power(-60.0, ed_threshold_dbm=-60.0 - offset * (sigma or 0.5))
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_window_counts(counts, link, sigma, rng_got)
+            want = sample_mac_states(wave, link, None, sigma, rng_want)
+            assert got.codes.dtype == np.uint8
+            assert np.array_equal(got.codes, want.codes)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+        check()
 
 
 def one_symbol_on_bounds(scheme) -> tuple[int, int]:

@@ -416,6 +416,35 @@ class TestLaidFromTheCycleTable:
         assert set(laid) == {ReceiverConfig.__init__.__code__}
         assert set(painted) == {phy.WifiFrames.paint.__code__}
 
+    def test_clear_streams_are_sampled_from_window_counts(self, monkeypatch):
+        config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
+        laid, waves = [], []
+        cycle_tx = ReceiverConfig.cycle_tx
+
+        def spy_cycle_tx(self, rows):
+            laid.append(len(rows))
+            return cycle_tx(self, rows)
+
+        def spy_waveform(*args):
+            waves.append(args)
+            return phy.Waveform(*args)
+
+        monkeypatch.setattr(ReceiverConfig, "cycle_tx", spy_cycle_tx)
+        monkeypatch.setattr(experiments, "Waveform", spy_waveform)
+        runs = spy_on(monkeypatch, "tick_runs")
+        sampled = spy_on(monkeypatch, "sample_mac_states")
+        # above, inside and below the noise band of register 28
+        for power in (-50.0, -61.5, -75.0):
+            run_stream(config, RadioLink.at_rx_power(power, ed_register=28), "clear", 2,
+                       np.random.default_rng(3))
+        assert laid == runs == sampled == waves == []
+        for scenario in ("background-light", "apdl-high"):
+            run_stream(config, RadioLink.at_rx_power(-61.5, ed_register=28), scenario, 2,
+                       np.random.default_rng(3))
+        # two chunks per stream, each laid as ticks, wrapped and sampled once
+        assert len(laid) == len(sampled) == len(waves) == 4
+        assert len(runs) == 4  # one per chunk, on its windows
+
     @pytest.mark.parametrize("n_frames", [0, -1])
     def test_stream_without_frames_rejected(self, n_frames):
         rng = np.random.default_rng(1)
@@ -541,6 +570,20 @@ class TestEdSweep:
         for k in result.knees:
             assert abs(k.knee_dbm - k.theta_dbm) <= 1.5
             assert k.width_db <= 3.0
+
+    def test_registers_share_one_receiver_config(self, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return ReceiverConfig(*args)
+
+        monkeypatch.setattr(experiments, "ReceiverConfig", spy)
+        spec = ExperimentSpec(scenario="clear", powers_dbm=(-62.0,), seed=3,
+                              repetitions=1, frames_per_rep=1)
+        result = run_ed_sweep(spec, thetas=(3, 28))
+        assert sorted(result.sweeps) == [3, 28]
+        assert built == [(get_scheme("wide20"), CsatConfig(40, 20))]
 
     def test_repeated_register_rejected(self):
         spec = ExperimentSpec(scenario="clear", seed=3, repetitions=1, frames_per_rep=1)

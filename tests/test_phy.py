@@ -36,6 +36,7 @@ from ctclink.phy import (
     generate_waveform,
     poisson_frames,
     sample_mac_states,
+    sample_window_counts,
     saturated_frames,
     tick_runs,
 )
@@ -862,8 +863,10 @@ class TestNoiseCountsAreBinomial:
 class TestNoiseModelsAgreeOnFer:
     """Over SEEDS seeds of FRAMES-frame clear streams, the FER of every
     point of the default ED sweeps at registers 3 and 28 lies inside the
-    Wilson interval of the per-tick model's FER.  The two models draw the
-    same payloads and lead-ins, since those come before the noise."""
+    Wilson interval of the per-tick model's FER.  Clear streams are sampled
+    from per-window transmit counts; the per-tick model lays each window's
+    count as its first ticks.  The two models draw the same payloads and
+    lead-ins, since those come before the noise."""
 
     SEEDS = 8
     FRAMES = 5
@@ -871,12 +874,15 @@ class TestNoiseModelsAgreeOnFer:
     @pytest.mark.parametrize("theta", [3, 28])
     def test_default_sweep_points(self, theta):
         config = ReceiverConfig(SCHEMES["wide20"], CsatConfig(40, 20))
+        per_win = WINDOW_US // RESOLUTION_US
 
-        def per_tick(wave, link, traffic, ed_noise_sigma_db, rng):
-            return ref_sample_mac_states([wave], [link], traffic, ed_noise_sigma_db, rng)
+        def per_tick(counts, link, ed_noise_sigma_db, rng):
+            tx = (np.arange(per_win) < counts[:, None]).ravel()
+            return ref_sample_mac_states([Waveform(config.csat, tx)], [link], None,
+                                         ed_noise_sigma_db, rng)
 
         def frame_errors(sampler):
-            with mock.patch.object(experiments, "sample_mac_states", sampler):
+            with mock.patch.object(experiments, "sample_window_counts", sampler):
                 return [
                     sum(run_stream(config, RadioLink.at_rx_power(power, ed_register=theta),
                                    "clear", self.FRAMES, np.random.default_rng([seed, theta, i]))[0]
@@ -885,7 +891,7 @@ class TestNoiseModelsAgreeOnFer:
                 ]
 
         n = self.SEEDS * self.FRAMES
-        for got, want in zip(frame_errors(sample_mac_states), frame_errors(per_tick)):
+        for got, want in zip(frame_errors(sample_window_counts), frame_errors(per_tick)):
             lo, hi = wilson_interval(want, n)
             assert lo <= got / n <= hi, (got, want)
 
