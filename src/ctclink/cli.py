@@ -16,6 +16,7 @@ import time
 
 from . import analytics, x2
 from .experiments import (
+    ED_SWEEP_THETAS,
     SCENARIOS,
     ExperimentSpec,
     run_ed_sweep,
@@ -206,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ed-sweep", help="FER sweep per ED register")
     _add_spec_flags(p)
-    p.add_argument("--thetas", type=_parse_ints, default=(3, 28),
+    p.add_argument("--thetas", type=_parse_ints, default=ED_SWEEP_THETAS,
                    help="comma-separated register values")
     p.add_argument("--out", default="ed_sweep.csv")
     p.add_argument("--knees-out", default="ed_knees.csv")

@@ -132,13 +132,13 @@ class ReceiverConfig:
     synchronization threshold tau_p is TAU_P_FACTOR times it.  Each ON
     phase must hold one symbol, so a cycle's ticks are its schedule's: the
     config lays each schedule once, REFERENCE_BLOCK per generate_waveform
-    call, and keeps its ticks bit-packed as a table row, the alphabet's
-    values first, then the preamble's two (preamble_rows); cycle_tx lays
-    any rows.  A reference is its row's window counts, cleaned as a clean
-    link's intf.  Every cycle CsatConfig allows is bytes of windows and of
-    ticks.  Punctures and safety gaps are whole windows; the ON time must
+    call.  Punctures and safety gaps are whole windows; the ON time must
     be too, or the window that ends it cleans to a value between the
-    signs.  So a window sends on all its ticks or none (cycle_windows).
+    signs.  So a window sends on all its ticks or none, and the table
+    keeps one bit per window of each cycle as a row, the alphabet's values
+    first, then the preamble's two (preamble_rows); cycle_windows lays any
+    rows.  Every cycle CsatConfig allows is bytes of windows.  A reference
+    is its row's window counts, cleaned as a clean link's intf.
     """
 
     def __init__(self, scheme: CodingScheme, csat: CsatConfig) -> None:
@@ -154,14 +154,11 @@ class ReceiverConfig:
         preamble = preamble_schedules(scheme)
         schedules = [encode_symbol(v, scheme) for v in range(scheme.alphabet_size)] + [*preamble[:2]]
         self.preamble_rows = tuple(scheme.alphabet_size + preamble.index(s) for s in preamble)
-        cycle_ticks = csat.cycle_ms * 1000 // RESOLUTION_US
-        self._packed_tx = np.empty((len(schedules), cycle_ticks // 8), dtype=np.uint8)
         self._packed_on = np.empty((len(schedules), W // 8), dtype=np.uint8)
         references = np.empty((len(schedules), W))
         for i in range(0, len(schedules), REFERENCE_BLOCK):
             rows = slice(i, i + REFERENCE_BLOCK)
             tx = generate_waveform(csat, schedules[rows]).tx
-            self._packed_tx[rows] = np.packbits(tx.reshape(-1, cycle_ticks), axis=1)
             codes = window_sums(tx.view(np.uint8)) * np.uint8(CODE_BASE**2)
             self._packed_on[rows] = np.packbits(codes.reshape(-1, W) > 0, axis=1)
             np.multiply(CODE_CLEANED[codes].reshape(-1, W), 2.0, out=references[rows])
@@ -180,13 +177,10 @@ class ReceiverConfig:
             for e in np.flatnonzero(d[1:-1]) + 1
         )
 
-    def cycle_tx(self, rows: Sequence[int]) -> np.ndarray:
-        """Transmit ticks of consecutive cycles holding the schedules of the
-        table's rows: generate_waveform's tx of those schedules."""
-        return np.unpackbits(self._packed_tx.take(rows, axis=0).ravel()).view(bool)
-
     def cycle_windows(self, rows: Sequence[int]) -> np.ndarray:
-        """Windows of cycle_tx(rows) that transmit: each is all or nothing."""
+        """Windows that transmit in consecutive cycles holding the schedules of
+        the table's rows: generate_waveform's tx of those schedules sends on
+        all ticks of these windows and on no other tick."""
         return np.unpackbits(self._packed_on.take(rows, axis=0).ravel()).view(bool)
 
     def preamble_correlation(self, x: np.ndarray) -> np.ndarray:

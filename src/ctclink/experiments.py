@@ -30,10 +30,8 @@ from .phy import (
     WINDOW_US,
     CsatConfig,
     TrafficTrace,
-    Waveform,
     WifiFrames,
     poisson_frames,
-    sample_mac_states,
     sample_window_counts,
     saturated_frames,
     tick_runs,
@@ -53,6 +51,8 @@ SATURATED_BURST_US = (1000.0, 5500.0)
 STRADDLE_PROB = 0.035
 # Fast per-tick measurement noise of the energy detector.
 DEFAULT_ED_NOISE_SIGMA_DB = 0.6
+# ED registers of the default ED sweep.
+ED_SWEEP_THETAS = (3, 28)
 # Default sweeps: the register's threshold +- POWER_SPAN_DB in POWER_STEP_DB steps.
 POWER_SPAN_DB = 4.0
 POWER_STEP_DB = 0.5
@@ -216,14 +216,13 @@ def run_stream(
     duty cycles, the first with the lead-in, each drawing its own ED noise
     into one Demodulator.  Cycle c holds schedule c alone, so the cycles
     are rows of the config's cycle table, each frame the preamble's rows
-    and then its data values.  A clear chunk is sampled from the rows'
-    window counts (cycle_windows, sample_window_counts); a traffic chunk
-    lays its ticks (cycle_tx) and WiFi frames for sample_mac_states.  The
-    draws come in the same order as for the whole stream at once, and no
-    per-tick array is longer than one chunk plus the lead-in.  Each step
-    is a stage of timing.  ValueError unless there is at least one frame.
+    and then its data values.  Every chunk is sampled from its rows' window
+    counts (cycle_windows) and its painted WiFi frames, if any, by one
+    sample_window_counts call.  The draws come in the same order as for
+    the whole stream at once, and no per-tick array is longer than one
+    chunk plus the lead-in.  Each step is a stage of timing.  ValueError
+    unless there is at least one frame.
     """
-    scheme, csat = config.scheme, config.csat
     if n_frames < 1:
         raise ValueError(f"a stream needs at least one frame, not {n_frames}")
     with timing.stage("frame_build"):
@@ -231,7 +230,7 @@ def run_stream(
         rows = []
         for _ in range(n_frames):
             network_id, clusters = _random_payload(rng)
-            stream = build_frame(network_id, clusters, scheme)
+            stream = build_frame(network_id, clusters, config.scheme)
             tx_symbols.append(list(stream.data))
             rows += config.preamble_rows + stream.data
         rows = np.array(rows)
@@ -243,7 +242,7 @@ def run_stream(
     # chunk k covers ticks [edges[k], edges[k + 1])
     edges = [0] + [lead + c * cycle_ticks for c in firsts[1:]] + [lead + len(rows) * cycle_ticks]
 
-    frames = None
+    frames = traffic = None
     if scenario != "clear":
         with timing.stage("waveform"):
             # the transmit runs on the stream's tick axis, from each chunk's
@@ -261,23 +260,16 @@ def run_stream(
     demod = Demodulator(config)
     decoded = []
     for c, t0, t1 in zip(firsts, edges, edges[1:]):
-        chunk = rows[c:c + CHUNK_CYCLES]
-        if frames is None:
-            with timing.stage("waveform"):
-                counts = config.cycle_windows(chunk).view(np.uint8) * np.uint8(ticks_per_window)
-                if c == 0:
-                    counts = np.concatenate([np.zeros(lead_windows, dtype=np.uint8), counts])
-            with timing.stage("sampler"):
-                series = sample_window_counts(counts, link, DEFAULT_ED_NOISE_SIGMA_DB, rng)
-        else:
-            with timing.stage("waveform"):
-                wave = Waveform(csat, config.cycle_tx(chunk))
-                if c == 0:
-                    wave = wave.with_lead_in(lead)
+        with timing.stage("waveform"):
+            windows = config.cycle_windows(rows[c:c + CHUNK_CYCLES])
+            counts = windows.view(np.uint8) * np.uint8(ticks_per_window)
+            if c == 0:
+                counts = np.concatenate([np.zeros(lead_windows, dtype=np.uint8), counts])
+        if frames is not None:
             with timing.stage("traffic"):
                 traffic = frames.paint(t0, t1)
-            with timing.stage("sampler"):
-                series = sample_mac_states(wave, link, traffic, DEFAULT_ED_NOISE_SIGMA_DB, rng)
+        with timing.stage("sampler"):
+            series = sample_window_counts(counts, link, traffic, DEFAULT_ED_NOISE_SIGMA_DB, rng)
         with timing.stage("receiver"):
             decoded += demod.feed(series)
     with timing.stage("receiver"):
@@ -400,7 +392,7 @@ def knee_metrics(powers: np.ndarray, fers: np.ndarray) -> tuple[float, float, fl
 
 def run_ed_sweep(
     spec: ExperimentSpec,
-    thetas: tuple[int, ...] = (3, 28),
+    thetas: tuple[int, ...] = ED_SWEEP_THETAS,
 ) -> EdSweepResult:
     """Link sweep per ED register through one ReceiverConfig; powers re-centered on each."""
     if len(set(thetas)) != len(thetas):

@@ -13,7 +13,8 @@ every station above the receive sensitivity belongs to the field's
 cluster.  One array kernel, ``decode_clusters``, applies that rule to a
 whole (points, cells) receive-power matrix; single locations go through
 the same kernel.  A slow full-stack mode cross-checks selected points
-through the real waveform, MAC-state sampler, and demodulator.
+through the stations' cycle-table windows, the MAC-state sampler, and the
+demodulator.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from ._csv import write_csv
 from .codec import CodingScheme, N_CLUSTER_FIELDS, build_frame, get_scheme
 from .demod import ReceiverConfig, demodulate
-from .phy import CsatConfig, Waveform, sample_mac_states
+from .phy import RESOLUTION_US, WINDOW_US, CsatConfig, MacStateSeries, sample_window_counts
 from .radio import (
     NOISE_FLOOR_DBM,
     SENSITIVITY_DBM,
@@ -480,17 +481,20 @@ def full_stack_check(
     per-slot cluster IDs) on a time-aligned duty cycle; the receiver's ED
     threshold is set to SENSITIVITY_DBM so audibility matches the model.
     A shadowing field enters both sides as a per-link tx-power offset,
-    ``shadowing.values_at(point)``.  Returns one record per point with both
+    ``shadowing.values_at(point)``.  Frames are cycle-table window rows,
+    each window all ON or all OFF, so the max of the stations' codes is
+    their per-tick OR.  Returns one record per point with both
     observations and a match flag.
     """
     scheme = scheme or get_scheme("wide20")
     csat = csat or CsatConfig(40, 20)
     config = ReceiverConfig(scheme, csat)
     configurations, codebook = build_cluster_configurations(dep)
-    waveforms = []  # per station, its frame laid from the config's cycle table
+    counts = []  # per station, the transmit ticks of each window of its frame
     for bs in dep.stations:
         stream = build_frame(network_id, [c.cluster_of(bs.cell_id) for c in configurations], scheme)
-        waveforms.append(Waveform(csat, config.cycle_tx(config.preamble_rows + stream.data)))
+        windows = config.cycle_windows(config.preamble_rows + stream.data)
+        counts.append(windows.view(np.uint8) * np.uint8(WINDOW_US // RESOLUTION_US))
     results = []
     for point in np.atleast_2d(np.asarray(points, dtype=float)):
         rx = received_powers_dbm(dep, point[None, :], shadowing=shadowing)[0]
@@ -504,7 +508,8 @@ def full_stack_check(
             )
             for bs, offset in zip(dep.stations, offsets)
         ]
-        series = sample_mac_states(waveforms, links)
+        series = MacStateSeries.from_codes(np.maximum.reduce(
+            [sample_window_counts(c, link).codes for c, link in zip(counts, links)]))
         decoded = [f for f in demodulate(series, config) if f.complete]
         pairs = set()
         network_decoded = False

@@ -10,17 +10,21 @@ code on demand.  The intf share is the side channel's only observable.
 
 Tick rules, in precedence order: the node's own transmissions win
 (half-duplex), then decoded WiFi receptions, then energy above the ED
-threshold from any LTE source or from undecodable WiFi frames, then idle.
-A WiFi frame counts as decoded when it starts on a tick where no LTE
-source transmits; frames that start under LTE energy are corrupted and
-only contribute energy.  WiFi senders that sense the LTE cell defer to its
-transmit mask, punctures included.
+threshold from the LTE source or from undecodable WiFi frames, then idle.
+A WiFi frame counts as decoded when it starts on a tick where the LTE
+source does not transmit; frames that start under LTE energy are
+corrupted and only contribute energy.  WiFi senders that sense the LTE
+cell defer to its transmit mask, punctures included.
 
 The energy detector's fast measurement noise is not drawn per tick: a
 source near its threshold detects each of its transmit ticks on its own
 with one probability, so the sampler draws one binomial detection count
 per window over the ticks the earlier rules leave open, by inverting the
 binomial CDF at one uniform per window.
+
+Streams have one LTE source, given as ticks (sample_mac_states) or as
+per-window counts of windows that send on all ticks or none, as cycle
+table rows do (sample_window_counts); both share the rules above.
 """
 
 from __future__ import annotations
@@ -53,6 +57,10 @@ FREE_BLOCK = 65536
 # tick counts in those states: each count is at most the window's ticks,
 # so the code is unique, and it fits a uint8 since CODE_BASE**3 <= 256
 CODE_BASE = WINDOW_US // RESOLUTION_US + 1
+# per state code: its window's idle ticks, 0 where its counts overfill a window
+_CODES = np.arange(CODE_BASE**3)
+CODE_IDLE = np.maximum(CODE_BASE - 1 - _CODES % CODE_BASE - _CODES // CODE_BASE % CODE_BASE
+                       - _CODES // CODE_BASE**2, 0).astype(np.uint8)
 # windows that MacStateSeries packs into codes at a time, so that no
 # float temporary of its conversion outgrows a block
 CONVERT_BLOCK = 32768
@@ -101,22 +109,9 @@ class Waveform:
     def n_ticks(self) -> int:
         return len(self.tx)
 
-    @property
-    def n_cycles(self) -> int:
-        return self.n_ticks // (self.csat.cycle_ms * 1000 // RESOLUTION_US)
-
     def with_lead_in(self, n_ticks: int) -> "Waveform":
         """Same waveform preceded by silence, for start-offset experiments."""
         return Waveform(self.csat, np.concatenate([np.zeros(n_ticks, dtype=bool), self.tx]))
-
-    def validate(self) -> None:
-        """Check the coexistence constraint: no TX run longer than 20 ms."""
-        limit = MAX_ON_RUN_MS * 1000 // RESOLUTION_US
-        padded = np.concatenate([[0], self.tx.astype(np.int8), [0]])
-        edges = np.flatnonzero(np.diff(padded))
-        runs = edges[1::2] - edges[::2]
-        if runs.size and runs.max() > limit:
-            raise ValueError(f"TX run of {runs.max()} ticks exceeds the 20 ms limit")
 
 
 def generate_waveform(
@@ -561,9 +556,7 @@ class MacStateSeries:
 
     @cached_property
     def idle(self) -> np.ndarray:
-        c = self.codes
-        return (CODE_BASE - 1 - c % CODE_BASE - c // CODE_BASE % CODE_BASE
-                - c // CODE_BASE**2) / (CODE_BASE - 1)
+        return CODE_IDLE.take(self.codes) / (CODE_BASE - 1)
 
     @property
     def n_samples(self) -> int:
@@ -606,8 +599,25 @@ def _detection_probability(link: RadioLink, ed_noise_sigma_db: float) -> float:
     return 0.0
 
 
-def _add_noise(codes: np.ndarray, open_ticks: np.ndarray, p: float, rng) -> None:
-    """Add each window's Binomial(n, p) intf count to its code, n its open ticks."""
+def _traffic_ticks(traffic: TrafficTrace) -> np.ndarray:
+    """Per tick: CODE_BASE for own tx, which wins over 1 for locked rx, which
+    wins over CODE_BASE**2 for unlocked energy; 0 for the ticks left open."""
+    tx = traffic.tx
+    rx = ~tx & traffic.rx_locked
+    code = (~tx & ~rx & traffic.rx_unlocked).view(np.uint8) * np.uint8(CODE_BASE**2)
+    code += tx.view(np.uint8) * np.uint8(CODE_BASE)
+    code += rx.view(np.uint8)
+    return code
+
+
+def _add_lte_energy(codes: np.ndarray, open_ticks: np.ndarray, p: float, rng) -> None:
+    """Add each window's intf count from the LTE source to its code, given the
+    source's open ticks there (transmit ticks no traffic rule settles): all of
+    them at p = 1, none at p = 0, and Binomial(n, p) of n open ticks between."""
+    if p == 1.0:
+        codes += open_ticks * np.uint8(CODE_BASE**2)
+    if p in (0.0, 1.0):
+        return
     if rng is None:
         raise ValueError("measurement noise needs a random generator")
     drawn = np.flatnonzero(open_ticks > 0)
@@ -623,31 +633,27 @@ def _add_noise(codes: np.ndarray, open_ticks: np.ndarray, p: float, rng) -> None
 
 
 def sample_mac_states(
-    waveforms: Waveform | Sequence[Waveform],
-    links: RadioLink | Sequence[RadioLink],
+    waveform: Waveform,
+    link: RadioLink,
     traffic: TrafficTrace | None = None,
     ed_noise_sigma_db: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> MacStateSeries:
     """Simulate the NIC's per-window MAC states, one state code per window.
 
-    Each (waveform, link) pair is one LTE source; a tick registers intf
-    when any transmitting source's instantaneous receive power (mean plus
-    optional fast measurement noise, normal with ed_noise_sigma_db) reaches
-    that link's ED threshold.
+    A tick registers intf when the LTE source transmits and its
+    instantaneous receive power (mean plus optional fast measurement
+    noise, normal with ed_noise_sigma_db) reaches the link's ED threshold,
+    unless a traffic rule settles it first (own tx, locked rx, unlocked rx).
 
     A source whose mean level lies 8 sigma or more from its threshold is
     detected on every transmit tick or on none.  Within that band the
     mean is constant, so each of its transmit ticks is detected on its own
-    with p = Phi((level - threshold) / sigma).  Only ticks that no
-    earlier rule (own tx, locked rx, unlocked rx) or other source already
-    settles are left to the noise; with n of them in a window, the
-    window's extra intf count is Binomial(n, p), drawn as the inverse
-    CDF at one uniform.  So the noise is one rng.random double per window
-    with n > 0, in window order, and a stream sampled in pieces draws
-    exactly what it draws at once.  Detection is an OR over sources,
-    which does not reduce to one count per window, so at most one source
-    may lie in the noise band.
+    with p = Phi((level - threshold) / sigma).  With n ticks left open in a
+    window, the window's extra intf count is Binomial(n, p), drawn as the
+    inverse CDF at one uniform.  So the noise is one rng.random double per
+    window with n > 0, in window order, and a stream sampled in pieces
+    draws exactly what it draws at once.
 
     Ticks are RESOLUTION_US long and each code covers one window of
     WINDOW_US: it packs the window's counts of rx, tx and intf ticks (see
@@ -656,59 +662,32 @@ def sample_mac_states(
     that do not fill one window are dropped, so the series covers
     ``n_ticks // (WINDOW_US // RESOLUTION_US)`` windows.
     """
-    if isinstance(waveforms, Waveform):
-        waveforms = [waveforms]
-    if isinstance(links, RadioLink):
-        links = [links]
-    if len(waveforms) != len(links):
-        raise ValueError("need exactly one RadioLink per waveform")
-    n_ticks = max(w.n_ticks for w in waveforms)
-
-    detect = np.zeros(n_ticks, dtype=bool)
-    noisy: tuple[Waveform, float] | None = None  # the source in the noise band, its p
-    for wave, link in zip(waveforms, links):
-        p = _detection_probability(link, ed_noise_sigma_db)
-        if p == 1.0:
-            detect[:wave.n_ticks] |= wave.tx
-        elif p > 0.0:
-            if noisy is not None:
-                raise ValueError("at most one source may lie within 8 sigma of its ED threshold")
-            noisy = wave, p
-
-    per_win = WINDOW_US // RESOLUTION_US
-    cut = n_ticks // per_win * per_win
-
-    # per tick: CODE_BASE**2 for intf, CODE_BASE for tx, 1 for rx, 0 for idle
+    lte = waveform.tx.view(np.uint8)
     if traffic is None:
-        code = detect[:cut].view(np.uint8) * np.uint8(CODE_BASE**2)
+        codes = np.zeros(len(lte) // (WINDOW_US // RESOLUTION_US), dtype=np.uint8)
     else:
-        if traffic.n_ticks != n_ticks:
+        if traffic.n_ticks != waveform.n_ticks:
             raise ValueError("traffic trace length must match the waveform")
-        # own transmissions win over decoded receptions, which win over energy
-        tx = traffic.tx[:cut]
-        rx = ~tx & traffic.rx_locked[:cut]
-        intf = ~tx & ~rx & (detect[:cut] | traffic.rx_unlocked[:cut])
-        code = intf.view(np.uint8) * np.uint8(CODE_BASE**2)
-        code += tx.view(np.uint8) * np.uint8(CODE_BASE)
-        code += rx.view(np.uint8)
-    codes = window_sums(code)
-    if noisy is not None:
-        wave, p = noisy
-        # the source's transmit ticks whose state no rule above settled
-        open_ticks = np.zeros(cut, dtype=np.uint8)
-        m = min(cut, wave.n_ticks)
-        np.greater(wave.tx[:m], code[:m], out=open_ticks[:m])
-        _add_noise(codes, window_sums(open_ticks), p, rng)
+        code = _traffic_ticks(traffic)
+        codes = window_sums(code)
+        lte = np.greater(lte, code).view(np.uint8)
+    _add_lte_energy(codes, window_sums(lte), _detection_probability(link, ed_noise_sigma_db), rng)
     return MacStateSeries.from_codes(codes)
 
 
-def sample_window_counts(counts: np.ndarray, link: RadioLink, ed_noise_sigma_db: float = 0.0,
+def sample_window_counts(counts: np.ndarray, link: RadioLink, traffic: TrafficTrace | None = None,
+                         ed_noise_sigma_db: float = 0.0,
                          rng: np.random.Generator | None = None) -> MacStateSeries:
-    """sample_mac_states of one LTE source and no WiFi traffic, from its per-window
-    transmit tick counts (uint8): all its ticks are open to the noise, so the
-    codes and draws are those of sample_mac_states on any ticks with the counts."""
-    p = _detection_probability(link, ed_noise_sigma_db)
-    codes = counts * np.uint8(CODE_BASE**2 if p == 1.0 else 0)
-    if 0.0 < p < 1.0:
-        _add_noise(codes, counts, p, rng)
+    """sample_mac_states of an LTE source given as its per-window transmit tick
+    counts (uint8), each 0 or a whole window, as every cycle-table window is.
+
+    A whole window's open ticks are the idle ticks of its traffic's code, so
+    the codes and draws are those of sample_mac_states on the counts' ticks.
+    """
+    if traffic is None:
+        codes = np.zeros(len(counts), dtype=np.uint8)
+    else:
+        codes = window_sums(_traffic_ticks(traffic))
+        counts = np.minimum(counts, CODE_IDLE.take(codes))
+    _add_lte_energy(codes, counts, _detection_probability(link, ed_noise_sigma_db), rng)
     return MacStateSeries.from_codes(codes)

@@ -416,34 +416,30 @@ class TestLaidFromTheCycleTable:
         assert set(laid) == {ReceiverConfig.__init__.__code__}
         assert set(painted) == {phy.WifiFrames.paint.__code__}
 
-    def test_clear_streams_are_sampled_from_window_counts(self, monkeypatch):
+    def test_every_stream_is_sampled_from_window_counts(self, monkeypatch):
         config = ReceiverConfig(get_scheme("wide20"), CsatConfig(40, 20))
-        laid, waves = [], []
-        cycle_tx = ReceiverConfig.cycle_tx
-
-        def spy_cycle_tx(self, rows):
-            laid.append(len(rows))
-            return cycle_tx(self, rows)
-
-        def spy_waveform(*args):
-            waves.append(args)
-            return phy.Waveform(*args)
-
-        monkeypatch.setattr(ReceiverConfig, "cycle_tx", spy_cycle_tx)
-        monkeypatch.setattr(experiments, "Waveform", spy_waveform)
+        ticked = [spy_on(monkeypatch, name)
+                  for name in ("Waveform", "generate_waveform", "sample_mac_states")]
         runs = spy_on(monkeypatch, "tick_runs")
-        sampled = spy_on(monkeypatch, "sample_mac_states")
+        sampled = spy_on(monkeypatch, "sample_window_counts")
         # above, inside and below the noise band of register 28
         for power in (-50.0, -61.5, -75.0):
             run_stream(config, RadioLink.at_rx_power(power, ed_register=28), "clear", 2,
                        np.random.default_rng(3))
-        assert laid == runs == sampled == waves == []
+        assert runs == [] and len(sampled) == 6  # two chunks per stream
         for scenario in ("background-light", "apdl-high"):
             run_stream(config, RadioLink.at_rx_power(-61.5, ed_register=28), scenario, 2,
                        np.random.default_rng(3))
-        # two chunks per stream, each laid as ticks, wrapped and sampled once
-        assert len(laid) == len(sampled) == len(waves) == 4
-        assert len(runs) == 4  # one per chunk, on its windows
+        # one sampler call per chunk, and the LTE runs taken on each chunk's windows
+        assert len(sampled) == 10 and len(runs) == 4
+        assert set(sampled) == {run_stream.__code__}
+        assert ticked == [[], [], []]
+        # the stations too, once their config has laid its table
+        dep = build_hex_deployment(7)
+        full_stack_check(dep, dep.positions_m[:1])
+        assert len(sampled) == 17  # one call per station
+        waves, _, sampled_ticks = ticked
+        assert {code.co_name for code in waves} == {"generate_waveform"} and sampled_ticks == []
 
     @pytest.mark.parametrize("n_frames", [0, -1])
     def test_stream_without_frames_rejected(self, n_frames):

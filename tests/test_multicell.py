@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctclink import multicell
+from ctclink.codec import build_frame, get_scheme
 from ctclink.multicell import (
     Codebook,
     CodebookLookupError,
@@ -30,8 +32,9 @@ from ctclink.multicell import (
     observation_at,
     received_powers_dbm,
 )
-from ctclink.phy import CsatConfig
-from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, PathlossModel, ShadowingField
+from ctclink.phy import CsatConfig, generate_waveform
+from ctclink.radio import NOISE_FLOOR_DBM, SENSITIVITY_DBM, PathlossModel, RadioLink, ShadowingField
+from test_phy import ref_sample_mac_states
 
 
 def mutually_adjacent_triples(dep):
@@ -485,11 +488,27 @@ class TestGridEvaluation:
         )
 
 
+def seven_station_points():
+    """A 7-station deployment, points next to a station, at a triple's
+    centroid and out of range, and no shadowing."""
+    dep = build_hex_deployment(7)
+    triple = dep.positions_m[[0, 2, 3]].mean(axis=0)
+    return dep, [dep.positions_m[0] + (1.0, 0.0), triple, (600.0, 600.0)], None
+
+
+def shadowed_nineteen_station_points():
+    """A 19-station deployment, 20 random points and a 6 dB shadowing field."""
+    dep = build_hex_deployment(19)
+    half = 70.0
+    shadowing = ShadowingField(
+        6.0, dep.n_cells, (-half, half, -half, half), rng=np.random.default_rng([3, 60])
+    )
+    return dep, np.random.default_rng(4).uniform(-half, half, size=(20, 2)), shadowing
+
+
 class TestFullStack:
     def test_threshold_model_matches_receiver_chain(self):
-        dep = build_hex_deployment(7)
-        triple = dep.positions_m[[0, 2, 3]].mean(axis=0)
-        points = [dep.positions_m[0] + (1.0, 0.0), triple, (600.0, 600.0)]
+        dep, points, _ = seven_station_points()
         records = full_stack_check(dep, points)
         assert all(r["match"] for r in records)
         assert len(records[0]["stack_pairs"]) == 6
@@ -498,12 +517,7 @@ class TestFullStack:
         assert not records[2]["stack_network"]
 
     def test_shadowed_points_match_receiver_chain(self):
-        dep = build_hex_deployment(19)
-        half = 70.0
-        shadowing = ShadowingField(
-            6.0, dep.n_cells, (-half, half, -half, half), rng=np.random.default_rng([3, 60])
-        )
-        points = np.random.default_rng(4).uniform(-half, half, size=(20, 2))
+        dep, points, shadowing = shadowed_nineteen_station_points()
         records = full_stack_check(dep, points, shadowing=shadowing)
         assert all(r["match"] for r in records)
         # the field moved the observations: shadowing is applied, not ignored
@@ -517,3 +531,39 @@ class TestFullStack:
         dep = build_hex_deployment(7)
         with pytest.raises(ValueError, match="one symbol per ON phase"):
             full_stack_check(dep, dep.positions_m[:1], csat=CsatConfig(80, 40))
+
+    @pytest.mark.parametrize("case", [seven_station_points, shadowed_nineteen_station_points],
+                             ids=["7-station", "19-station-shadowed"])
+    def test_series_is_the_per_tick_or_of_the_stations(self, monkeypatch, case):
+        """The series that full_stack_check demodulates at each point equals
+        the per-tick OR over the stations' frames, laid by generate_waveform
+        and sampled by the reference sampler on the same links."""
+        dep, points, shadowing = case()
+        seen = []
+        demodulate = multicell.demodulate
+
+        def spy(series, config):
+            seen.append(series.codes)
+            return demodulate(series, config)
+
+        monkeypatch.setattr(multicell, "demodulate", spy)
+        full_stack_check(dep, points, shadowing=shadowing)
+        configurations, _ = build_cluster_configurations(dep)
+        scheme = get_scheme("wide20")  # full_stack_check's defaults
+        waves = [
+            generate_waveform(CsatConfig(40, 20), build_frame(
+                0x0A000001, [c.cluster_of(bs.cell_id) for c in configurations], scheme,
+            ).schedules())
+            for bs in dep.stations
+        ]
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        assert len(seen) == len(points)
+        for codes, point in zip(seen, points):
+            offsets = np.zeros(dep.n_cells) if shadowing is None else shadowing.values_at(point)[0]
+            links = [
+                RadioLink(distance_m=max(math.hypot(bs.x_m - point[0], bs.y_m - point[1]), 1e-3),
+                          tx_power_dbm=bs.tx_power_dbm + offset,
+                          ed_threshold_dbm=SENSITIVITY_DBM)
+                for bs, offset in zip(dep.stations, offsets)
+            ]
+            assert np.array_equal(codes, ref_sample_mac_states(waves, links).codes)

@@ -68,6 +68,18 @@ def silent_trace(n_ticks: int) -> TrafficTrace:
     return TrafficTrace(*np.zeros((3, n_ticks), dtype=bool))
 
 
+def validate(wave: Waveform) -> None:
+    """The coexistence constraint: no TX run longer than MAX_ON_RUN_MS."""
+    starts, ends = tick_runs(wave.tx)
+    longest = int(np.max(ends - starts, initial=0))
+    assert longest <= MAX_ON_RUN_MS * 1000 // RESOLUTION_US, f"TX run of {longest} ticks"
+
+
+def n_cycles(wave: Waveform) -> int:
+    """Whole duty cycles of a waveform."""
+    return wave.n_ticks // (wave.csat.cycle_ms * 1000 // RESOLUTION_US)
+
+
 def assert_partition(series: MacStateSeries) -> None:
     """Every window's four fractions lie in [0, 1] and sum to 1."""
     fractions = np.stack([series.idle, series.rx, series.tx, series.intf])
@@ -93,8 +105,8 @@ class TestCsatConfig:
 class TestGenerateWaveform:
     def test_empty_symbol_list_plain_cycle(self):
         wave = generate_waveform(CsatConfig(80, 40), [], n_cycles=3)
-        wave.validate()
-        assert wave.n_cycles == 3
+        validate(wave)
+        assert n_cycles(wave) == 3
         per_ms = 1000 // RESOLUTION_US
         cycles = wave.tx.reshape(3, 80 * per_ms)
         assert cycles[:, :18 * per_ms].all() and not cycles[:, 40 * per_ms:].any()
@@ -105,7 +117,7 @@ class TestGenerateWaveform:
         scheme = SCHEMES["wide20"]
         sched = encode_symbol(3, scheme)  # gap at slots 8,9 ms
         wave = generate_waveform(CsatConfig(40, 20), [sched])
-        wave.validate()
+        validate(wave)
         per_ms = 1000 // RESOLUTION_US
         assert not wave.tx[8 * per_ms:10 * per_ms].any()
         assert wave.tx[0:8 * per_ms].all()
@@ -117,22 +129,22 @@ class TestGenerateWaveform:
         # trailing gap overlaps the OFF phase
         scheme = SCHEMES["multi20-k1"]
         wave = generate_waveform(CsatConfig(80, 19), [encode_symbol(5, scheme)])
-        wave.validate()
-        assert wave.n_cycles == 1
+        validate(wave)
+        assert n_cycles(wave) == 1
 
     def test_short_symbol_low_duty(self):
         scheme = SCHEMES["short12"]
         scheds = [encode_symbol(v, scheme) for v in (0, 1, 2)]
         wave = generate_waveform(CsatConfig(40, 12), scheds)
-        wave.validate()
-        assert wave.n_cycles == 3  # one symbol per cycle at this duty
+        validate(wave)
+        assert n_cycles(wave) == 3  # one symbol per cycle at this duty
 
     def test_two_symbols_per_cycle(self):
         scheme = SCHEMES["multi20-k1"]
         scheds = [encode_symbol(v, scheme) for v in range(4)]
         wave = generate_waveform(CsatConfig(80, 40), scheds)
-        wave.validate()
-        assert wave.n_cycles == 2
+        validate(wave)
+        assert n_cycles(wave) == 2
         per_cycle = 80 * 1000 // RESOLUTION_US
         per_ms = 1000 // RESOLUTION_US
         starts = [0, 20 * per_ms, per_cycle, per_cycle + 20 * per_ms]
@@ -151,7 +163,7 @@ class TestGenerateWaveform:
         scheds = [encode_symbol(v, scheme) for v in (7, 19, 41, 3)]
         wave = generate_waveform(CsatConfig(80, 40), scheds)
         per_ms = 1000 // RESOLUTION_US
-        missing = int(wave.n_cycles * 40 * per_ms - wave.tx.sum())
+        missing = int(n_cycles(wave) * 40 * per_ms - wave.tx.sum())
         expect = sum(len(s.positions) for s in scheds) * per_ms
         assert missing == expect
 
@@ -573,7 +585,10 @@ class TestTrafficMatchesReference:
 # Reference waveform generator and MAC-state sampler: one slice per cycle and
 # per punctured slot, one normal draw call per noisy source, one float mean
 # per state.  The library's versions must match them bit for bit, in the
-# arrays and in the state they leave the generator in.
+# arrays and in the state they leave the generator in.  The reference
+# sampler ORs any number of LTE sources per tick; the library samples one,
+# and full_stack_check's stations are checked against this OR in
+# test_multicell.py.
 # ---------------------------------------------------------------------------
 
 def ref_generate_waveform(csat, symbols, n_cycles=None):
@@ -738,14 +753,10 @@ OFFSET_SIGMAS = (-20.0, -8.5, -8.0, -3.0, -0.5, 0.0, 0.5, 3.0, 8.0, 8.5, 20.0)
 @st.composite
 def sampler_inputs(draw):
     sigma = draw(st.sampled_from([0.0, 0.25, 0.6, 2.0]))
-    waves, links = [], []
-    for shift in range(draw(st.integers(1, 2))):
-        n_ticks = draw(st.integers(1, len(PUNCTURED_LTE)))
-        tx = np.roll(PUNCTURED_LTE, 400 * shift)[:n_ticks]
-        waves.append(Waveform(CsatConfig(40, 20), tx))
-        offset_db = draw(st.sampled_from(OFFSET_SIGMAS)) * (sigma if sigma > 0 else 0.5)
-        links.append(link_at(-60.0, ed_threshold_dbm=-60.0 - offset_db))
-    n_ticks = max(w.n_ticks for w in waves)
+    n_ticks = draw(st.integers(1, len(PUNCTURED_LTE)))
+    wave = Waveform(CsatConfig(40, 20), PUNCTURED_LTE[:n_ticks])
+    offset_db = draw(st.sampled_from(OFFSET_SIGMAS)) * (sigma if sigma > 0 else 0.5)
+    link = link_at(-60.0, ed_threshold_dbm=-60.0 - offset_db)
     kind = draw(st.sampled_from(["none", "tx", "rx", "both"]))
     masks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((3, n_ticks)) < 0.3
     if kind == "none":
@@ -756,7 +767,7 @@ def sampler_inputs(draw):
             traffic.tx = masks[0]
         if kind in ("rx", "both"):
             traffic.rx_locked, traffic.rx_unlocked = masks[1], masks[2]
-    return waves, links, traffic, sigma
+    return wave, link, traffic, sigma
 
 
 def test_saturated_half_tick_bursts_round_half_to_even():
@@ -786,30 +797,22 @@ class TestSamplerMatchesReference:
     @settings(max_examples=300, deadline=None)
     @given(inputs=sampler_inputs(), seed=st.integers(0, 2**32 - 1))
     def test_sample_mac_states(self, inputs, seed):
-        waves, links, traffic, sigma = inputs
-        noisy = [i for i, link in enumerate(links) if in_noise_band(link, sigma)]
+        wave, link, traffic, sigma = inputs
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        if len(noisy) > 1:
-            # detection ORs the sources per tick, which no per-window count draws
-            with pytest.raises(ValueError, match="at most one source"):
-                sample_mac_states(waves, links, traffic, sigma, rng_got)
-            return
-        got = sample_mac_states(waves, links, traffic, sigma, rng_got)
-        want = ref_sample_mac_states(waves, links, traffic, sigma, rng_want)
+        got = sample_mac_states(wave, link, traffic, sigma, rng_got)
+        want = ref_sample_mac_states([wave], [link], traffic, sigma, rng_want)
         assert got.codes.dtype == np.uint8
         assert_partition(got)
-        if not noisy:
+        if not in_noise_band(link, sigma):
             # no noise is drawn: the same codes, fractions and generator state
             assert np.array_equal(got.codes, window_codes(want))
             assert_same_series(got, want, rng_got, rng_want)
             return
-        # the noisy source's open ticks bound the intf count: none of them
+        # the source's open ticks bound the intf count: none of them
         # detected (threshold far above) and all of them (far below)
-        (i,) = noisy
         never, always = (
             ref_sample_mac_states(
-                waves, links[:i] + [replace(links[i], ed_threshold_dbm=links[i].ed_threshold_dbm
-                                            + shift)] + links[i + 1:],
+                [wave], [replace(link, ed_threshold_dbm=link.ed_threshold_dbm + shift)],
                 traffic, sigma)
             for shift in (1e3, -1e3))
         lo, hi = (window_codes(b).astype(int) // CODE_BASE**2 for b in (never, always))
@@ -838,8 +841,10 @@ class TestNoiseCountsAreBinomial:
 
     WINDOWS = 20_000
 
-    @pytest.mark.parametrize("sampler", [sample_mac_states, ref_sample_mac_states],
-                             ids=["per-window", "per-tick"])
+    @pytest.mark.parametrize("sampler", [
+        sample_mac_states,
+        lambda wave, link, *args: ref_sample_mac_states([wave], [link], *args),
+    ], ids=["per-window", "per-tick"])
     @pytest.mark.parametrize("offset_sigmas", [-0.5, 0.0, 0.5])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_chi_square(self, sampler, offset_sigmas, n):
@@ -848,7 +853,7 @@ class TestNoiseCountsAreBinomial:
         tx[:, :n] = True
         sigma = 0.6
         link = link_at(-60.0, ed_threshold_dbm=-60.0 - offset_sigmas * sigma)
-        series = sampler([Waveform(CsatConfig(40, 20), tx.ravel())], [link], None, sigma,
+        series = sampler(Waveform(CsatConfig(40, 20), tx.ravel()), link, None, sigma,
                          np.random.default_rng(100 + n))
         counts = np.bincount(np.rint(per_win * series.intf).astype(int), minlength=n + 1)
         p = 0.5 * math.erfc(-offset_sigmas / math.sqrt(2.0))
@@ -876,9 +881,9 @@ class TestNoiseModelsAgreeOnFer:
         config = ReceiverConfig(SCHEMES["wide20"], CsatConfig(40, 20))
         per_win = WINDOW_US // RESOLUTION_US
 
-        def per_tick(counts, link, ed_noise_sigma_db, rng):
+        def per_tick(counts, link, traffic, ed_noise_sigma_db, rng):
             tx = (np.arange(per_win) < counts[:, None]).ravel()
-            return ref_sample_mac_states([Waveform(config.csat, tx)], [link], None,
+            return ref_sample_mac_states([Waveform(config.csat, tx)], [link], traffic,
                                          ed_noise_sigma_db, rng)
 
         def frame_errors(sampler):
