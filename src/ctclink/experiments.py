@@ -445,6 +445,8 @@ def run_multicell(
     for sigma in sigmas_db:
         if not sigma >= 0:
             raise ValueError(f"shadowing sigma {sigma:g} dB must be non-negative")
+        if not math.isfinite(sigma):
+            raise ValueError(f"shadowing sigma {sigma:g} dB must be finite")
     deployment = build_hex_deployment(station_count)
     results = {}
     for sigma in sigmas_db:

@@ -11,8 +11,8 @@ The union of the decoded clusters' members is the proximity estimate.
 Grid-scale runs use the threshold decodability model: a field decodes when
 every station above the receive sensitivity belongs to the field's
 cluster.  One array kernel, ``decode_clusters``, applies that rule to a
-whole (points, cells) receive-power matrix; single locations go through
-the same kernel.  A slow full-stack mode cross-checks selected points
+(points, cells) receive-power matrix; a grid goes through it POINT_BLOCK
+points at a time, and single locations go through the same kernel.  A slow full-stack mode cross-checks selected points
 through the stations' cycle-table windows, the MAC-state sampler, and the
 demodulator.
 """
@@ -38,8 +38,11 @@ from .radio import (
     ShadowingField,
     dbm_to_mw,
 )
+from .timing import stage
 
 HEX_SPACING_M = 50.0
+# receiver locations that evaluate_points takes through powers, decoding and SINR at a time
+POINT_BLOCK = 512
 
 # axial-coordinate neighbor directions, counter-clockwise
 _DIRECTIONS = ((1, 0), (1, -1), (0, -1), (-1, 0), (-1, 1), (0, 1))
@@ -273,10 +276,13 @@ def received_powers_dbm(
     pathloss = pathloss or PathlossModel()
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     cell_x, cell_y = dep.positions_m.T
-    dist = np.maximum(np.hypot(pts[:, :1] - cell_x, pts[:, 1:] - cell_y), 1e-3)
-    rx = dep.tx_powers_dbm - pathloss.loss_db(dist)
+    dist = np.hypot(pts[:, :1] - cell_x, pts[:, 1:] - cell_y)
+    np.maximum(dist, 1e-3, out=dist)
+    rx = pathloss.loss_db(dist)
+    del dist
+    np.subtract(dep.tx_powers_dbm, rx, out=rx)
     if shadowing is not None:
-        rx = rx + shadowing.values_at(pts)
+        rx += shadowing.values_at(pts)
     return rx
 
 
@@ -391,9 +397,13 @@ def best_sinr_db(rx_dbm: np.ndarray) -> np.ndarray:
     station; with no interferer this is P/noise."""
     p_mw = dbm_to_mw(np.atleast_2d(rx_dbm))
     total = p_mw.sum(axis=1, keepdims=True)
-    noise_mw = dbm_to_mw(NOISE_FLOOR_DBM)
-    sinr = p_mw / (noise_mw + (total - p_mw))
-    return 10.0 * np.log10(sinr.max(axis=1))
+    sinr = np.subtract(total, p_mw)
+    sinr += dbm_to_mw(NOISE_FLOOR_DBM)
+    np.divide(p_mw, sinr, out=sinr)
+    best = sinr.max(axis=1)
+    np.log10(best, out=best)
+    best *= 10.0
+    return best
 
 
 @dataclass
@@ -423,19 +433,43 @@ def evaluate_points(
     codebook: Codebook | None = None,
     shadowing: ShadowingField | None = None,
 ) -> GridResult:
-    """Proximity-set size and best SINR at explicit receiver locations."""
+    """Proximity-set size and best SINR at explicit receiver locations.
+
+    Powers, decoding and SINR run on POINT_BLOCK points at a time, so no
+    (points, cells) array is longer than a block; the results do not
+    depend on the block size.
+    """
     if configurations is None or codebook is None:
         configurations, codebook = build_cluster_configurations(dep)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    rx = received_powers_dbm(dep, pts, shadowing=shadowing)
-    decoded, _ = decode_clusters(rx, configurations, dep.cell_ids)
-    # a grid has few distinct decoded rows; estimate each one once
-    rows, first, inverse = np.unique(decoded, axis=0, return_index=True, return_inverse=True)
-    sizes = np.zeros(len(rows), dtype=int)
-    # in order of first occurrence, so a codebook miss names the first point's pair
-    for r in np.argsort(first):
-        sizes[r] = len(estimate_proximity(_observation(configurations, rows[r], True), codebook))
-    return GridResult(pts, sizes[inverse.reshape(-1)], best_sinr_db(rx))
+    n = len(pts)
+    decoded = np.empty((n, len(configurations)), dtype=np.int64)
+    sinr = np.empty(n)
+    for lo in range(0, n, POINT_BLOCK):
+        block = pts[lo:lo + POINT_BLOCK]
+        with stage("powers"):
+            rx = received_powers_dbm(dep, block, shadowing=shadowing)
+        with stage("decode"):
+            decoded[lo:lo + POINT_BLOCK] = decode_clusters(rx, configurations, dep.cell_ids)[0]
+        with stage("sinr"):
+            sinr[lo:lo + POINT_BLOCK] = best_sinr_db(rx)
+    with stage("estimate"):
+        # a grid has few distinct decoded rows: sort them so that equal rows
+        # are adjacent (stable, so each run starts at its first occurrence)
+        order = np.lexsort(decoded.T)
+        ordered = decoded[order]
+        new_row = np.ones(n, dtype=bool)
+        np.any(ordered[1:] != ordered[:-1], axis=1, out=new_row[1:])
+        starts = np.flatnonzero(new_row)
+        sizes = np.zeros(len(starts), dtype=int)
+        # estimate each row once, in order of first occurrence, so a codebook
+        # miss names the first point's pair
+        for r in np.argsort(order[starts]):
+            observation = _observation(configurations, ordered[starts[r]], True)
+            sizes[r] = len(estimate_proximity(observation, codebook))
+        n_detected = np.empty(n, dtype=int)
+        n_detected[order] = sizes[np.cumsum(new_row) - 1]
+    return GridResult(pts, n_detected, sinr)
 
 
 def grid_evaluate(
@@ -452,18 +486,21 @@ def grid_evaluate(
     """
     if not (grid_step_m > 0 and side_m > 0):
         raise ValueError(f"grid step {grid_step_m:g} m and side {side_m:g} m must be positive")
+    if not (math.isfinite(grid_step_m) and math.isfinite(side_m)):
+        raise ValueError(f"grid step {grid_step_m:g} m and side {side_m:g} m must be finite")
     half = side_m / 2.0
     axis = np.arange(-half, half + grid_step_m / 2.0, grid_step_m)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     points = np.column_stack([gx.ravel(), gy.ravel()])
     shadowing = None
-    if shadowing_sigma_db > 0:
-        shadowing = ShadowingField(
-            shadowing_sigma_db,
-            dep.n_cells,
-            (-half, half, -half, half),
-            rng=rng,
-        )
+    if shadowing_sigma_db != 0:
+        with stage("field"):
+            shadowing = ShadowingField(
+                shadowing_sigma_db,
+                dep.n_cells,
+                (-half, half, -half, half),
+                rng=rng,
+            )
     return evaluate_points(dep, points, shadowing=shadowing)
 
 

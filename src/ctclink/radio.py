@@ -9,6 +9,7 @@ on one line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,12 @@ class PathlossModel:
         d = np.asarray(distance_m, dtype=float)
         if np.any(d <= 0):
             raise ValueError("distance must be positive")
-        out = self.ref_loss_db + 10.0 * self.exponent * np.log10(d)
-        return float(out) if np.isscalar(distance_m) else out
+        if np.isscalar(distance_m):
+            return float(self.ref_loss_db + 10.0 * self.exponent * np.log10(d))
+        out = np.log10(d)
+        out *= 10.0 * self.exponent
+        out += self.ref_loss_db
+        return out
 
 
 @dataclass
@@ -132,8 +137,8 @@ class ShadowingField:
         bounds: tuple[float, float, float, float],
         rng: np.random.Generator | None = None,
     ) -> None:
-        if sigma_db < 0:
-            raise ValueError("sigma must be non-negative")
+        if not (math.isfinite(sigma_db) and sigma_db >= 0):
+            raise ValueError(f"sigma {sigma_db:g} dB must be finite and non-negative")
         self.sigma_db = sigma_db
         xmin, xmax, ymin, ymax = bounds
         step = SHADOWING_DECORRELATION_M / 2.0
@@ -147,9 +152,15 @@ class ShadowingField:
             raise ValueError("correlated field needs a random generator")
         gx, gy = np.meshgrid(self._xs, self._ys, indexing="ij")
         coords = np.column_stack([gx.ravel(), gy.ravel()])
-        cov = sigma_db**2 * np.exp(-_pairwise_distances(coords) / SHADOWING_DECORRELATION_M)
+        # sigma^2 exp(-d / SHADOWING_DECORRELATION_M), built in the distance array
+        cov = _pairwise_distances(coords)
+        np.negative(cov, out=cov)
+        cov /= SHADOWING_DECORRELATION_M
+        np.exp(cov, out=cov)
+        cov *= sigma_db**2
         cov[np.diag_indices_from(cov)] += 1e-9  # numerical jitter for the factorization
         chol = np.linalg.cholesky(cov)
+        del cov
         draws = chol @ rng.standard_normal((len(coords), n_sources))
         self._values = draws.reshape(nx, ny, n_sources)
 
@@ -158,6 +169,7 @@ class ShadowingField:
 
         A point outside the anchor grid takes the value at the nearest point
         of the grid's edge, so the field stays within its anchors' range.
+        The four weighted corners are summed into the first one gathered.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         px = np.clip(pts[:, 0], self._xs[0], self._xs[-1])
@@ -168,13 +180,13 @@ class ShadowingField:
         y0, y1 = self._ys[iy], self._ys[iy + 1]
         wx = ((px - x0) / (x1 - x0))[:, None]
         wy = ((py - y0) / (y1 - y0))[:, None]
-        v00 = self._values[ix, iy]
-        v10 = self._values[ix + 1, iy]
-        v01 = self._values[ix, iy + 1]
-        v11 = self._values[ix + 1, iy + 1]
-        return (
-            v00 * (1 - wx) * (1 - wy)
-            + v10 * wx * (1 - wy)
-            + v01 * (1 - wx) * wy
-            + v11 * wx * wy
-        )
+        ux, uy = 1 - wx, 1 - wy
+        out = self._values[ix, iy]
+        out *= ux
+        out *= uy
+        for dx, dy, weight_x, weight_y in ((1, 0, wx, uy), (0, 1, ux, wy), (1, 1, wx, wy)):
+            corner = self._values[ix + dx, iy + dy]
+            corner *= weight_x
+            corner *= weight_y
+            out += corner
+        return out

@@ -659,6 +659,10 @@ class TestMulticellRun:
         with pytest.raises(ValueError, match="must be non-negative"):
             run_multicell(station_count=7, sigmas_db=(0.0, sigma), grid_step_m=10.0, side_m=40.0)
 
+    def test_infinite_sigma_rejected(self):
+        with pytest.raises(ValueError, match="shadowing sigma inf dB must be finite"):
+            run_multicell(station_count=7, sigmas_db=(float("inf"),), grid_step_m=10.0, side_m=40.0)
+
     def test_summary_csv(self, tmp_path):
         run = run_multicell(station_count=7, sigmas_db=(0.0,), seed=2,
                             grid_step_m=10.0, side_m=40.0)

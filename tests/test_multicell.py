@@ -3,6 +3,9 @@
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -286,8 +289,8 @@ class TestKernelMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(count=st.integers(1, 200), sigma=st.sampled_from([0.0, 6.0, 12.0]),
            n_inside=st.integers(0, 40), n_far=st.integers(0, 4),
-           seed=st.integers(0, 2**32 - 1))
-    def test_grid_and_single_points(self, count, sigma, n_inside, n_far, seed):
+           seed=st.integers(0, 2**32 - 1), block=st.integers(1, 8))
+    def test_grid_and_single_points(self, count, sigma, n_inside, n_far, seed, block):
         dep, configurations, codebook = clustered(count)
         rng = np.random.default_rng(seed)
         # inside: a 100 m box around one station, which the shadowing field covers
@@ -305,6 +308,14 @@ class TestKernelMatchesReference:
         got = evaluate_points(dep, points, configurations, codebook, shadowing)
         want = ref_evaluate_points(dep, points, configurations, codebook, shadowing)
         assert got.n_detected.tolist() == want.tolist()
+        # in blocks of a few points, block edges anywhere: the same bits as one block
+        assert len(points) <= multicell.POINT_BLOCK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multicell, "POINT_BLOCK", block)
+            blocked = evaluate_points(dep, points, configurations, codebook, shadowing)
+        assert blocked.n_detected.dtype == got.n_detected.dtype
+        assert blocked.n_detected.tobytes() == got.n_detected.tobytes()
+        assert blocked.sinr_db_best.tobytes() == got.sinr_db_best.tobytes()
         rx = received_powers_dbm(dep, points, shadowing=shadowing)
         for row in rx:
             assert decodable_fields(row, configurations, dep.cell_ids) == ref_decodable_fields(
@@ -407,6 +418,19 @@ class TestGridEvaluation:
         with pytest.raises(ValueError, match="must be positive"):
             grid_evaluate(build_hex_deployment(7), grid_step_m=step, side_m=side)
 
+    @pytest.mark.parametrize("step, side", [
+        (float("inf"), 140.0), (2.0, float("inf")), (float("inf"), float("inf")),
+    ])
+    def test_non_finite_step_or_side_rejected(self, step, side):
+        with pytest.raises(ValueError, match="must be finite"):
+            grid_evaluate(build_hex_deployment(7), grid_step_m=step, side_m=side)
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_shadowing_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            grid_evaluate(build_hex_deployment(7), grid_step_m=10.0, side_m=40.0,
+                          shadowing_sigma_db=sigma, rng=np.random.default_rng(1))
+
     def test_clear_sky_histogram(self):
         dep = build_hex_deployment(100)
         result = grid_evaluate(dep, grid_step_m=4.0, side_m=140.0)
@@ -486,6 +510,64 @@ class TestGridEvaluation:
             "25.00,-4.33,0,-3.210\n"
             "-70.00,0.00,12,inf\n"
         )
+
+
+class TestInPlaceKernels:
+    """The in-place kernels against the dense expressions they replaced."""
+
+    def test_received_powers_equal_the_dense_expression(self):
+        dep = build_hex_deployment(100)
+        rng = np.random.default_rng(6)
+        points = np.concatenate([rng.uniform(-150.0, 150.0, size=(700, 2)), dep.positions_m])
+        pathloss = PathlossModel(ref_loss_db=40.0, exponent=2.7)
+        dist = np.maximum(np.hypot(points[:, :1] - dep.positions_m[:, 0],
+                                   points[:, 1:] - dep.positions_m[:, 1]), 1e-3)
+        want = dep.tx_powers_dbm - (pathloss.ref_loss_db
+                                    + 10.0 * pathloss.exponent * np.log10(dist))
+        assert np.array_equal(received_powers_dbm(dep, points, pathloss), want)
+        shadowing = ShadowingField(6.0, dep.n_cells, (-150, 150, -150, 150),
+                                   rng=np.random.default_rng(7))
+        assert np.array_equal(received_powers_dbm(dep, points, pathloss, shadowing),
+                              want + shadowing.values_at(points))
+
+    def test_best_sinr_equals_the_dense_expression(self):
+        dep = build_hex_deployment(100)
+        points = np.random.default_rng(8).uniform(-150.0, 150.0, size=(700, 2))
+        for rx in (received_powers_dbm(dep, points),
+                   np.random.default_rng(9).uniform(-120.0, -30.0, size=(300, 5)),
+                   np.array([[-70.0]])):
+            p_mw = 10.0 ** (rx / 10.0)
+            total = p_mw.sum(axis=1, keepdims=True)
+            sinr = p_mw / (10.0 ** (NOISE_FLOOR_DBM / 10.0) + (total - p_mw))
+            assert np.array_equal(best_sinr_db(rx), 10.0 * np.log10(sinr.max(axis=1)))
+
+
+def grid_peaks_kb() -> tuple[int, int]:
+    """Peak RSS in KiB after a 4 m and then a 1 m unshadowed grid over the
+    default 140 m square of the 100-station deployment, in a fresh
+    interpreter (VmHWM, as in test_experiments.stream_peaks_kb)."""
+    code = (
+        "from ctclink.multicell import build_hex_deployment, grid_evaluate\n"
+        "dep = build_hex_deployment(100)\n"
+        "for step in (4.0, 1.0):\n"
+        "    assert len(grid_evaluate(dep, grid_step_m=step).n_detected) == (140 // step + 1) ** 2\n"
+        "    print(next(line.split()[1] for line in open('/proc/self/status')\n"
+        "               if line.startswith('VmHWM:')))\n"
+    )
+    src = os.path.dirname(os.path.dirname(multicell.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    coarse_kb, fine_kb = map(int, out.split())
+    return coarse_kb, fine_kb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux only")
+def test_fine_grid_peaks_near_a_coarse_one():
+    # 19,881 points at 1 m against 1,296 at 4 m: only per-point arrays grow,
+    # (points, cells) arrays are POINT_BLOCK points long
+    coarse_kb, fine_kb = grid_peaks_kb()
+    assert fine_kb - coarse_kb < 8 * 1024
 
 
 def seven_station_points():

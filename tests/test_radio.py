@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ctclink.radio import PathlossModel, RadioLink, ShadowingField, map_ed_register
+from ctclink.radio import (
+    SHADOWING_DECORRELATION_M,
+    PathlossModel,
+    RadioLink,
+    ShadowingField,
+    map_ed_register,
+)
 
 
 class TestPathloss:
@@ -21,6 +27,16 @@ class TestPathloss:
     def test_zero_distance_rejected(self):
         with pytest.raises(ValueError):
             PathlossModel().loss_db(0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            PathlossModel().loss_db(np.array([[3.0, 0.0]]))
+
+    def test_array_path_equals_the_dense_expression(self):
+        pl = PathlossModel(ref_loss_db=40.0, exponent=2.7)
+        d = np.random.default_rng(1).uniform(1e-3, 500.0, size=(40, 7))
+        before = d.copy()
+        assert np.array_equal(pl.loss_db(d), pl.ref_loss_db + 10.0 * pl.exponent * np.log10(d))
+        assert np.array_equal(d, before)  # the input is left as it was
+        assert isinstance(pl.loss_db(2.0), float)
 
     def test_rx_power_inversion(self):
         link = RadioLink.at_rx_power(-77.0)
@@ -54,6 +70,25 @@ class TestEdRegisterMap:
 
 
 class TestShadowingField:
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf"), float("-inf")])
+    def test_sigma_must_be_finite_and_non_negative(self, sigma):
+        with pytest.raises(ValueError, match="must be finite and non-negative"):
+            ShadowingField(sigma, 3, (-50, 50, -50, 50), rng=np.random.default_rng(1))
+
+    def test_anchor_values_equal_the_dense_draw(self):
+        # the covariance as one expression, factorized and drawn from the same seed
+        bounds = (-70, 70, -70, 70)
+        f = ShadowingField(6.0, 100, bounds, rng=np.random.default_rng(12))
+        xs, ys = f._xs, f._ys
+        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        coords = np.column_stack([gx.ravel(), gy.ravel()])
+        dist = np.sqrt(np.subtract.outer(coords[:, 0], coords[:, 0]) ** 2
+                       + np.subtract.outer(coords[:, 1], coords[:, 1]) ** 2)
+        cov = 6.0**2 * np.exp(-dist / SHADOWING_DECORRELATION_M)
+        cov[np.diag_indices_from(cov)] += 1e-9
+        draws = np.linalg.cholesky(cov) @ np.random.default_rng(12).standard_normal((len(coords), 100))
+        assert np.array_equal(f._values, draws.reshape(len(xs), len(ys), 100))
+
     def test_zero_sigma_is_flat(self):
         f = ShadowingField(0.0, 3, (-50, 50, -50, 50))
         assert np.all(f.values_at([(0, 0), (10, 10)]) == 0.0)
