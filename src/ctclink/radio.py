@@ -59,12 +59,10 @@ class PathlossModel:
         d = np.asarray(distance_m, dtype=float)
         if np.any(d <= 0):
             raise ValueError("distance must be positive")
-        if np.isscalar(distance_m):
-            return float(self.ref_loss_db + 10.0 * self.exponent * np.log10(d))
         out = np.log10(d)
         out *= 10.0 * self.exponent
         out += self.ref_loss_db
-        return out
+        return float(out) if np.isscalar(distance_m) else out
 
 
 @dataclass
@@ -180,6 +178,7 @@ class ShadowingField:
         y0, y1 = self._ys[iy], self._ys[iy + 1]
         wx = ((px - x0) / (x1 - x0))[:, None]
         wy = ((py - y0) / (y1 - y0))[:, None]
+        # v00 ux uy + v10 wx uy + v01 ux wy + v11 wx wy, summed left to right
         ux, uy = 1 - wx, 1 - wy
         out = self._values[ix, iy]
         out *= ux
